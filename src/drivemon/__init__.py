@@ -7,22 +7,17 @@ whose reconstruction-error 1-norm exceeds a percentile-calibrated threshold.
 """
 
 from .derive import DERIVED_CHANNELS, DerivedStream, derive_stream, deviation, mean_over_wheels, power
-from .detect import AnomalyScore, ErrorVector, FlagRecord, Threshold, calibrate, flag, score, score_matrix
+from .detect import FlagRecord, Threshold, calibrate, flag, score_matrix, write_report_json
 from .errors import ArtifactError, DataError, OrderingError, PipelineError, SchemaError, TrainingError
 from .features import (
     FeatureId,
     FeatureMask,
-    FeatureVector,
     MinMaxScaler,
-    Window,
     WindowSpec,
     feature_mask,
     feature_matrix,
-    featurize,
     fit_scaler,
     stats7,
-    transform,
-    windows,
 )
 from .net import (
     AutoencoderModel,
@@ -40,6 +35,6 @@ from .net import (
     train,
 )
 from .synth import AnomalyEvent, LabeledStream, NominalProfile, generate_nominal, inject, make_dataset
-from .telemetry import SENSOR_CHANNELS, WHEELS, TelemetryFrame, TelemetryStream, read_stream, write_stream
+from .telemetry import SENSOR_CHANNELS, WHEELS, TelemetryStream, read_stream, write_stream
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import detect as det
 from . import synth
 from .derive import derive_stream
-from .errors import ArtifactError, DataError, PipelineError
+from .errors import ArtifactError, DataError, PipelineError, read_json
 from .features import WindowSpec, feature_mask, feature_matrix, fit_scaler, MinMaxScaler
 from .net import TrainConfig, build_model, load_model, save_model, train
 from .telemetry import read_stream, write_stream
@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--data", type=Path, required=True, help="training telemetry CSV")
     c.add_argument("--artifacts", type=Path, required=True)
     c.add_argument("--percentile", type=float, default=99.9)
-    c.add_argument("--window-s", type=float, default=None)
     c.add_argument("--stride-s", type=float, default=None)
     c.set_defaults(func=cmd_calibrate)
 
@@ -78,14 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--artifacts", type=Path, required=True)
     d.add_argument("--percentile", type=float, default=None,
                    help="re-threshold at this percentile using stored calibration scores")
-    d.add_argument("--window-s", type=float, default=None)
     d.add_argument("--stride-s", type=float, default=None)
     d.set_defaults(func=cmd_detect)
 
     e = sub.add_parser("evaluate", help="compare the flag report against ground truth")
     e.add_argument("--artifacts", type=Path, required=True)
     e.add_argument("--labels", type=Path, required=True, help="ground-truth labels JSON")
-    e.add_argument("--window-s", type=float, default=None)
     e.set_defaults(func=cmd_evaluate)
 
     for p in (g, t, c, d, e):
@@ -114,21 +111,15 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return rest[:1] + pairs + rest[1:]
 
 
-def _window_spec(args, pipeline: dict | None) -> WindowSpec:
-    defaults = pipeline or {}
-    window_s = args.window_s if args.window_s is not None else defaults.get("window_s", 4.0)
-    stride_s = args.stride_s if args.stride_s is not None else defaults.get("stride_s", 1.0)
-    return WindowSpec(window_s=window_s, stride_s=stride_s)
+def _window_spec(args, pipeline: dict) -> WindowSpec:
+    """The trained window length, with --stride-s free to move window placement."""
+    stride_s = args.stride_s if args.stride_s is not None else pipeline.get("stride_s", 1.0)
+    return WindowSpec(window_s=pipeline.get("window_s", 4.0), stride_s=stride_s)
 
 
-def _load_pipeline(artifacts: Path) -> dict | None:
+def _load_pipeline(artifacts: Path) -> dict:
     path = artifacts / PIPELINE_FILE
-    if not path.exists():
-        return None
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"corrupt pipeline file {path}: {exc}") from exc
+    return read_json(path) if path.exists() else {}
 
 
 def _features_from_csv(data: Path, spec: WindowSpec, variant: str):
@@ -234,11 +225,7 @@ def cmd_detect(args, parser: argparse.ArgumentParser) -> int:
     spec = _window_spec(args, _load_pipeline(args.artifacts))
     X, start_t, sol = _features_from_csv(args.data, spec, model.variant)
     scores, E = det.score_matrix(model, scaler, X)
-    score_objs = [det.AnomalyScore(a=float(scores[i]), sol=int(sol[i]),
-                                   start_t=float(start_t[i]))
-                  for i in range(len(scores))]
-    errors = [det.ErrorVector(e=E[i], variant=model.variant) for i in range(len(scores))]
-    records = det.flag(score_objs, threshold, errors)
+    records = det.flag(scores, E, start_t, sol, threshold, model.variant)
     det.write_report_csv(records, args.artifacts / REPORT_CSV)
     det.write_report_json(records, args.artifacts / REPORT_JSON)
     det.write_scores_csv(args.artifacts / SCORES_FILE, scores, start_t, sol)
@@ -260,8 +247,7 @@ def cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
     records = det.read_report_json(report_path)
     _, start_t, _ = det.read_scores_csv(scores_path)
     events = synth.read_labels(args.labels)
-    pipeline = _load_pipeline(args.artifacts) or {}
-    window_s = args.window_s if args.window_s is not None else pipeline.get("window_s", 4.0)
+    window_s = _load_pipeline(args.artifacts).get("window_s", 4.0)
 
     nominal_total = sum(
         0 if any(_overlaps(float(t0), window_s, ev) for ev in events) else 1

@@ -10,7 +10,6 @@ from back-driven actuators are kept as-is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -127,18 +126,3 @@ def derive_stream(stream: TelemetryStream) -> DerivedStream:
         out[:, base + 5] = pdev[:, wi]
     out[:, 36:] = stream.values[:, 18:]
     return DerivedStream(t=stream.t.copy(), sol=stream.sol.copy(), values=out)
-
-
-def write_derived(stream: DerivedStream, path: str | Path) -> None:
-    """Optional CSV emission of a derived stream (sensor header + computed columns)."""
-    header = ("t", "sol") + SENSOR_CHANNELS \
-        + tuple(f"power_{w}" for w in WHEELS) \
-        + tuple(f"cdev_{w}" for w in WHEELS) \
-        + tuple(f"pdev_{w}" for w in WHEELS)
-    order = [derived_index(c) for c in header[2:]]
-    with open(Path(path), "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(stream)):
-            cells = [repr(float(stream.t[i])), str(int(stream.sol[i]))]
-            cells += [repr(float(stream.values[i, j])) for j in order]
-            fh.write(",".join(cells) + "\n")

@@ -18,30 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, DataError
-from .features import FeatureVector, MinMaxScaler, feature_mask
+from .errors import ArtifactError, DataError, get_field, read_json
+from .features import MinMaxScaler, feature_mask
 from .net import AutoencoderModel, forward
 
 #: Contributors below this fraction of the total score are not reported.
 CONTRIBUTOR_FLOOR = 0.10
 MAX_CONTRIBUTORS = 3
-
-
-@dataclass(frozen=True)
-class ErrorVector:
-    """Per-feature reconstruction residual, indexed like the variant's mask."""
-
-    e: np.ndarray
-    variant: str
-
-
-@dataclass(frozen=True)
-class AnomalyScore:
-    """1-norm of the residual plus the window's identity."""
-
-    a: float
-    sol: int
-    start_t: float
 
 
 @dataclass(frozen=True)
@@ -55,23 +38,19 @@ class Threshold:
                 "n": self.calibration_size}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "Threshold":
-        try:
-            return cls(percentile=float(doc["percentile"]), value=float(doc["value"]),
-                       calibration_size=int(doc["n"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactError(f"malformed threshold document: {exc}") from exc
+    def from_json(cls, doc: dict, where: str = "threshold document") -> "Threshold":
+        value = get_field(doc, "value", float, where)
+        if not math.isfinite(value):
+            raise ArtifactError(f"{where}: threshold value {value} is not finite")
+        return cls(percentile=get_field(doc, "percentile", float, where), value=value,
+                   calibration_size=get_field(doc, "n", int, where))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json()) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Threshold":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"corrupt threshold file {path}: {exc}") from exc
-        return cls.from_json(doc)
+        return cls.from_json(read_json(path), where=str(path))
 
 
 @dataclass(frozen=True)
@@ -85,27 +64,6 @@ class FlagRecord:
     contributors: tuple[tuple[str, float], ...]  # (feature name, |e_i|), descending
 
 
-def one_norm(e: np.ndarray) -> float:
-    return float(np.sum(np.abs(e)))
-
-
-def score(
-    model: AutoencoderModel, scaler: MinMaxScaler, v: FeatureVector
-) -> tuple[ErrorVector, AnomalyScore]:
-    """Scale one feature vector, reconstruct it, and score the residual."""
-    if model.variant != scaler.variant:
-        raise ArtifactError(
-            f"model variant {model.variant!r} does not match scaler {scaler.variant!r}"
-        )
-    x = scaler.transform(v.values)
-    x_hat, _ = forward(model, x)
-    e = x - x_hat
-    return (
-        ErrorVector(e=e, variant=model.variant),
-        AnomalyScore(a=one_norm(e), sol=v.sol, start_t=v.start_t),
-    )
-
-
 def score_matrix(
     model: AutoencoderModel, scaler: MinMaxScaler, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +75,13 @@ def score_matrix(
     Xs = scaler.transform(np.atleast_2d(X))
     X_hat, _ = forward(model, Xs)
     E = Xs - X_hat
-    return np.sum(np.abs(E), axis=1), E
+    scores = np.sum(np.abs(E), axis=1)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        raise ArtifactError(
+            f"non-finite anomaly score at window {int(bad[0])}; check the model and scaler"
+        )
+    return scores, E
 
 
 def nearest_rank(n: int, percentile: float) -> int:
@@ -138,14 +102,7 @@ def calibrate(scores, percentile: float = 99.9) -> Threshold:
     Requires at least 100 scores when percentile >= 99, since extreme
     percentiles of tiny samples are meaningless.
     """
-    if isinstance(scores, np.ndarray):
-        arr = np.asarray(scores, dtype=np.float64)
-    else:
-        scores = list(scores)
-        if scores and isinstance(scores[0], AnomalyScore):
-            arr = np.asarray([s.a for s in scores], dtype=np.float64)
-        else:
-            arr = np.asarray(scores, dtype=np.float64)
+    arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1 or len(arr) == 0:
         raise DataError("calibration requires a non-empty 1-D score collection")
     if percentile >= 99.0 and len(arr) < 100:
@@ -178,25 +135,33 @@ def top_contributors(
 
 
 def flag(
-    scores: list[AnomalyScore], threshold: Threshold, errors: list[ErrorVector]
+    scores: np.ndarray,
+    residuals: np.ndarray,
+    start_t: np.ndarray,
+    sol: np.ndarray,
+    threshold: Threshold,
+    variant: str,
 ) -> list[FlagRecord]:
-    """Emit a record for every window whose score strictly exceeds the threshold."""
-    if len(scores) != len(errors):
+    """Emit a record for every window whose score strictly exceeds the threshold.
+
+    Row i of scores (n,) and residuals (n, d), as score_matrix returns them,
+    and of start_t and sol, as feature_matrix returns them, is window i.
+    """
+    names = feature_mask(variant).names()
+    n = len(scores)
+    if np.shape(residuals) != (n, len(names)) or len(start_t) != n or len(sol) != n:
         raise DataError(
-            f"scores and errors are misaligned: {len(scores)} vs {len(errors)}"
+            f"flag inputs are misaligned: {n} scores, residuals {np.shape(residuals)}, "
+            f"{len(start_t)} start times, {len(sol)} sols for {len(names)} {variant} features"
         )
-    names_by_variant: dict[str, list[str]] = {}
-    records = []
-    for s, ev in zip(scores, errors):
-        if s.a > threshold.value:
-            if ev.variant not in names_by_variant:
-                names_by_variant[ev.variant] = feature_mask(ev.variant).names()
-            records.append(FlagRecord(
-                sol=s.sol, start_t=s.start_t, score=s.a, threshold=threshold.value,
-                contributors=top_contributors(ev.e, s.a, ev.variant,
-                                              names_by_variant[ev.variant]),
-            ))
-    return records
+    return [
+        FlagRecord(
+            sol=int(sol[i]), start_t=float(start_t[i]), score=float(scores[i]),
+            threshold=threshold.value,
+            contributors=top_contributors(residuals[i], float(scores[i]), variant, names),
+        )
+        for i in np.flatnonzero(np.asarray(scores) > threshold.value)
+    ]
 
 
 REPORT_COLUMNS = ("sol", "start_t", "score", "threshold",
@@ -233,17 +198,21 @@ def write_report_json(records: list[FlagRecord], path: str | Path) -> None:
 
 
 def read_report_json(path: str | Path) -> list[FlagRecord]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"corrupt report file {path}: {exc}") from exc
+    doc = read_json(path)
+    if not isinstance(doc, list):
+        raise ArtifactError(f"{path}: expected a list of flag records")
     records = []
-    for r in doc:
+    for i, r in enumerate(doc):
+        where = f"{path}: record {i}"
         records.append(FlagRecord(
-            sol=int(r["sol"]), start_t=float(r["start_t"]), score=float(r["score"]),
-            threshold=float(r["threshold"]),
-            contributors=tuple((c["feature"], float(c["magnitude"]))
-                               for c in r["contributors"]),
+            sol=get_field(r, "sol", int, where),
+            start_t=get_field(r, "start_t", float, where),
+            score=get_field(r, "score", float, where),
+            threshold=get_field(r, "threshold", float, where),
+            contributors=tuple(
+                (get_field(c, "feature", str, where), get_field(c, "magnitude", float, where))
+                for c in get_field(r, "contributors", list, where)
+            ),
         ))
     return records
 
@@ -263,8 +232,10 @@ def read_scores_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
         header = next(reader, None)
         if header != ["sol", "start_t", "score"]:
             raise ArtifactError(f"{path}: unexpected scores header {header}")
-        for row in reader:
-            sols.append(int(row[0]))
-            starts.append(float(row[1]))
-            vals.append(float(row[2]))
+        for i, row in enumerate(reader):
+            cells = dict(zip(header, row))
+            where = f"{path}: row {i}"
+            sols.append(get_field(cells, "sol", int, where))
+            starts.append(get_field(cells, "start_t", float, where))
+            vals.append(get_field(cells, "score", float, where))
     return np.asarray(vals), np.asarray(starts), np.asarray(sols, dtype=np.int64)

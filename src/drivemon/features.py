@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .derive import DERIVED_CHANNELS, DerivedStream, channel_display
-from .errors import ArtifactError, DataError
+from .errors import ArtifactError, DataError, get_field, read_json
 from .telemetry import SAMPLE_RATE_HZ, is_frame_aligned
 
 #: Statistic names in canonical order. `index = channel*7 + stat` depends on it.
@@ -55,15 +55,6 @@ class WindowSpec:
     @property
     def stride_frames(self) -> int:
         return round(self.stride_s * self.sample_rate_hz)
-
-
-@dataclass(frozen=True)
-class Window:
-    """One rolling-window sample of the derived stream."""
-
-    start_t: float
-    sol: int
-    data: np.ndarray  # (window_frames, 46)
 
 
 @dataclass(frozen=True)
@@ -124,24 +115,6 @@ def variant_for_length(n: int) -> str:
     raise DataError(f"no variant has {n} features")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Feature values for one window, in the mask's kept order."""
-
-    values: np.ndarray
-    start_t: float
-    sol: int
-
-
-def windows(stream: DerivedStream, spec: WindowSpec = WindowSpec()) -> list[Window]:
-    """Split a derived stream into rolling windows; short streams yield [] with a warning."""
-    data, start_t, sol = window_arrays(stream, spec)
-    return [
-        Window(start_t=float(start_t[i]), sol=int(sol[i]), data=data[i])
-        for i in range(data.shape[0])
-    ]
-
-
 def window_arrays(
     stream: DerivedStream, spec: WindowSpec = WindowSpec()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,20 +173,13 @@ def stats7(samples) -> np.ndarray:
     return _stats_block(x.reshape(1, -1, 1))[0, 0]
 
 
-def featurize(window: Window, mask: FeatureMask) -> FeatureVector:
-    """Flatten a window into its masked feature vector."""
-    block = _stats_block(window.data[None, ...])  # (1, 46, 7)
-    flat = block.reshape(-1)
-    return FeatureVector(values=flat[mask.indices], start_t=window.start_t, sol=window.sol)
-
-
 def feature_matrix(
     stream: DerivedStream, spec: WindowSpec, mask: FeatureMask
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Featurize every window of a stream at once.
 
-    Returns (X, start_t, sol) with X of shape (n_windows, len(mask)). Row i
-    equals featurize(windows(stream, spec)[i], mask).
+    Returns (X, start_t, sol) with X of shape (n_windows, len(mask)); row i
+    holds the masked statistics of the window starting at start_t[i].
     """
     data, start_t, sol = window_arrays(stream, spec)
     if data.shape[0] == 0:
@@ -261,9 +227,6 @@ class MinMaxScaler:
             out[..., self.constant_] = 0.0
         return out
 
-    def transform_vector(self, v: FeatureVector) -> FeatureVector:
-        return FeatureVector(values=self.transform(v.values), start_t=v.start_t, sol=v.sol)
-
     def to_json(self) -> dict:
         return {
             "variant": self.variant,
@@ -273,44 +236,28 @@ class MinMaxScaler:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "MinMaxScaler":
+    def from_json(cls, doc: dict, where: str = "scaler document") -> "MinMaxScaler":
+        def floats(v):
+            return np.asarray(v, dtype=np.float64)
+
         try:
-            scaler = cls(doc["variant"], np.asarray(doc["min"]), np.asarray(doc["max"]))
-        except (KeyError, TypeError) as exc:
-            raise ArtifactError(f"malformed scaler document: {exc}") from exc
-        return scaler
+            return cls(get_field(doc, "variant", str, where),
+                       get_field(doc, "min", floats, where),
+                       get_field(doc, "max", floats, where))
+        except DataError as exc:
+            raise ArtifactError(f"{where}: {exc}") from exc
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json()) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "MinMaxScaler":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"corrupt scaler file {path}: {exc}") from exc
-        return cls.from_json(doc)
+        return cls.from_json(read_json(path), where=str(path))
 
 
-def transform(scaler: MinMaxScaler, v):
-    """Apply a fitted scaler to a FeatureVector, a vector, or a matrix."""
-    if isinstance(v, FeatureVector):
-        return scaler.transform_vector(v)
-    return scaler.transform(v)
-
-
-def fit_scaler(vectors, variant: str | None = None) -> MinMaxScaler:
-    """Fit per-feature min/max over a list of FeatureVector or an (n, d) matrix."""
-    if isinstance(vectors, np.ndarray):
-        X = vectors
-    else:
-        vectors = list(vectors)
-        if any(not isinstance(v, FeatureVector) for v in vectors):
-            raise DataError("fit_scaler expects FeatureVectors or an (n, d) array")
-        lengths = {len(v.values) for v in vectors}
-        if len(lengths) > 1:
-            raise DataError(f"ragged feature vectors: lengths {sorted(lengths)}")
-        X = np.array([v.values for v in vectors], dtype=np.float64)
+def fit_scaler(X: np.ndarray, variant: str | None = None) -> MinMaxScaler:
+    """Fit per-feature min/max over an (n, d) feature matrix."""
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise DataError("scaler fitting requires at least 2 samples")
     if not np.isfinite(X).all():
@@ -318,14 +265,3 @@ def fit_scaler(vectors, variant: str | None = None) -> MinMaxScaler:
     if variant is None:
         variant = variant_for_length(X.shape[1])
     return MinMaxScaler(variant, X.min(axis=0), X.max(axis=0))
-
-
-def write_feature_csv(path: str | Path, X: np.ndarray, start_t, sol, mask: FeatureMask) -> None:
-    """Optional CSV emission of a feature matrix with feature-name headers."""
-    header = ["sol", "start_t"] + mask.names()
-    with open(Path(path), "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(X.shape[0]):
-            cells = [str(int(sol[i])), repr(float(start_t[i]))]
-            cells += [repr(float(v)) for v in X[i]]
-            fh.write(",".join(cells) + "\n")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, DataError, TrainingError
+from .errors import ArtifactError, DataError, TrainingError, read_json
 
 ACTIVATIONS = ("linear", "sigmoid")
 
@@ -60,18 +60,6 @@ def _activation_grad(name: str, a: np.ndarray) -> np.ndarray:
     return a * (1.0 - a)
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    out_dim: int
-    activation: str
-
-    def __post_init__(self):
-        if self.out_dim < 1:
-            raise DataError("layer out_dim must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise DataError(f"unknown activation {self.activation!r}")
-
-
 @dataclass
 class AutoencoderModel:
     """Dense autoencoder weights plus the metadata needed to persist it."""
@@ -95,9 +83,6 @@ class AutoencoderModel:
     @property
     def bottleneck_dim(self) -> int:
         return min(self.dims[1:])
-
-    def layer_specs(self) -> list[LayerSpec]:
-        return [LayerSpec(d, a) for d, a in zip(self.dims[1:], self.activations)]
 
     def parameter_count(self) -> int:
         return sum(W.size + b.size for W, b in zip(self.weights, self.biases))
@@ -139,10 +124,9 @@ def build_model(variant: str, seed: int) -> AutoencoderModel:
 
 @dataclass
 class ForwardCache:
-    """Every pre-activation and activation of one forward pass, for backprop."""
+    """Every activation of one forward pass, for backprop."""
 
     x: np.ndarray
-    zs: list[np.ndarray]
     activations: list[np.ndarray]  # activations[0] is the input
 
 
@@ -154,14 +138,12 @@ def forward(model: AutoencoderModel, x) -> tuple[np.ndarray, ForwardCache]:
     if X.shape[1] != model.input_dim:
         raise DataError(f"expected input dim {model.input_dim}, got {X.shape[1]}")
     a = X
-    zs, acts = [], [X]
+    acts = [X]
     for W, b, act in zip(model.weights, model.biases, model.activations):
-        z = a @ W.T + b
-        a = _apply_activation(act, z)
-        zs.append(z)
+        a = _apply_activation(act, a @ W.T + b)
         acts.append(a)
     out = a[0] if squeeze else a
-    return out, ForwardCache(x=X, zs=zs, activations=acts)
+    return out, ForwardCache(x=X, activations=acts)
 
 
 def encode(model: AutoencoderModel, x) -> np.ndarray:
@@ -391,10 +373,7 @@ def save_model(model: AutoencoderModel, path: str | Path) -> None:
 
 def load_model(path: str | Path, expect_variant: str | None = None) -> AutoencoderModel:
     """Load a persisted model, validating structure and (optionally) variant."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"corrupt model file {path}: {exc}") from exc
+    doc = read_json(path)
     try:
         dims = tuple(int(d) for d in doc["dims"])
         activations = tuple(doc["activations"])
@@ -413,6 +392,8 @@ def load_model(path: str | Path, expect_variant: str | None = None) -> Autoencod
         if W.shape != (dims[l + 1], dims[l]) or b.shape != (dims[l + 1],):
             raise ArtifactError(f"{path}: layer {l} has shape {W.shape}, expected "
                                 f"({dims[l + 1]}, {dims[l]})")
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            raise ArtifactError(f"{path}: layer {l} has non-finite weights or biases")
     if expect_variant is not None and model.variant != expect_variant:
         raise ArtifactError(
             f"{path}: model variant is {model.variant!r}, expected {expect_variant!r}"

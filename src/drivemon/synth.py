@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, get_field, read_json
 from .telemetry import (
     FRAME_DT_S,
     SAMPLE_RATE_HZ,
@@ -336,9 +336,23 @@ def write_labels(events, path: str | Path) -> None:
 
 
 def read_labels(path: str | Path) -> list[AnomalyEvent]:
-    doc = json.loads(Path(path).read_text())
-    return [
-        AnomalyEvent(kind=e["kind"], t0=float(e["t0"]), duration_s=float(e["duration"]),
-                     wheel=e.get("wheel"), severity=float(e.get("severity", 1.0)))
-        for e in doc
-    ]
+    doc = read_json(path, error=DataError)
+    if not isinstance(doc, list):
+        raise DataError(f"{path}: expected a list of events")
+    events = []
+    for i, e in enumerate(doc):
+        where = f"{path}: event {i}"
+        if not isinstance(e, dict):
+            raise DataError(f"{where}: expected an object")
+        fields = dict(
+            kind=get_field(e, "kind", str, where, DataError),
+            t0=get_field(e, "t0", float, where, DataError),
+            duration_s=get_field(e, "duration", float, where, DataError),
+            wheel=e.get("wheel"),
+            severity=get_field(e, "severity", float, where, DataError) if "severity" in e else 1.0,
+        )
+        try:
+            events.append(AnomalyEvent(**fields))
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
+    return events

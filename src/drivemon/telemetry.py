@@ -58,15 +58,6 @@ def channel_index(channel: str) -> int:
 
 
 @dataclass(frozen=True)
-class TelemetryFrame:
-    """One 8 Hz sample: time, sol, and a channel-name -> value map."""
-
-    t: float
-    sol: int
-    values: dict[str, float]
-
-
-@dataclass(frozen=True)
 class TelemetryStream:
     """Time-ordered 8 Hz frames over the 28 sensor channels.
 
@@ -114,13 +105,6 @@ class TelemetryStream:
     def span_s(self) -> float:
         """Elapsed time between first and last frame."""
         return float(self.t[-1] - self.t[0])
-
-    def frame(self, i: int) -> TelemetryFrame:
-        return TelemetryFrame(
-            t=float(self.t[i]),
-            sol=int(self.sol[i]),
-            values=dict(zip(SENSOR_CHANNELS, self.values[i].tolist())),
-        )
 
     def channel(self, name: str) -> np.ndarray:
         """Full time series of one sensor channel."""

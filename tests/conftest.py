@@ -1,10 +1,5 @@
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
 
 from drivemon.telemetry import SENSOR_CHANNELS, TelemetryStream, uniform_time_axis
 

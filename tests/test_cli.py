@@ -254,3 +254,60 @@ def test_corrupt_model_artifact_exits_4(tmp_path, data_dir):
     art.mkdir()
     (art / "model.json").write_text("{broken")
     assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art) == 4
+
+
+def test_detect_nan_weight_exits_4(tmp_path, data_dir, trained_dir, capsys):
+    art = tmp_path / "art"
+    art.mkdir()
+    for name in ("model.json", "scaler.json", "threshold.json", "pipeline.json"):
+        (art / name).write_bytes((trained_dir / name).read_bytes())
+    doc = json.loads((art / "model.json").read_text())
+    doc["weights"][2][0][0] = float("nan")
+    (art / "model.json").write_text(json.dumps(doc))
+    assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art) == 4
+    assert "layer 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,name,content,code", [
+    ("evaluate", "report.json", '[{"sol": 1}]', 4),
+    ("evaluate", "scores.csv", "sol,start_t,score\n1,x\n", 4),
+    ("evaluate", "labels.json", '[{"kind": "MTSC"}]', 3),
+    ("detect", "scaler.json", '{"variant": "prime", "min": ["x"], "max": [1.0]}', 4),
+    ("detect", "threshold.json", '{"percentile": 99.9, "value": NaN, "n": 117}', 4),
+    ("detect", "model.json", None, 4),
+    ("detect", "scaler.json", None, 4),
+    ("detect", "threshold.json", None, 4),
+], ids=["report-field", "scores-cell", "labels-field", "scaler-min", "threshold-nan",
+        "model-missing", "scaler-missing", "threshold-missing"])
+def test_malformed_input_exit_code(tmp_path, data_dir, trained_dir, capsys,
+                                   command, name, content, code):
+    """A damaged or missing file ends with its exit code and a message naming it."""
+    art = tmp_path / "art"
+    art.mkdir()
+    for kept in ("model.json", "scaler.json", "threshold.json", "pipeline.json"):
+        (art / kept).write_bytes((trained_dir / kept).read_bytes())
+    (art / "report.json").write_text("[]\n")
+    (art / "scores.csv").write_text("sol,start_t,score\n1,0.0,0.1\n")
+    (art / "labels.json").write_text("[]\n")
+    if content is None:
+        (art / name).unlink()
+    else:
+        (art / name).write_text(content)
+    if command == "detect":
+        args = ("detect", "--data", data_dir / "test.csv", "--artifacts", art)
+    else:
+        args = ("evaluate", "--artifacts", art, "--labels", art / "labels.json")
+    assert run(*args) == code
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,name", [
+    ("calibrate", "--data", "train.csv"),
+    ("detect", "--data", "test.csv"),
+    ("evaluate", "--labels", "labels.json"),
+], ids=["calibrate", "detect", "evaluate"])
+def test_window_s_is_fixed_by_training(data_dir, trained_dir, command, flag, name):
+    """Only train takes --window-s; later commands read it from pipeline.json."""
+    with pytest.raises(SystemExit) as exc:
+        run(command, flag, data_dir / name, "--artifacts", trained_dir, "--window-s", 4)
+    assert exc.value.code == 2

@@ -10,7 +10,6 @@ from drivemon.derive import (
     deviation,
     mean_over_wheels,
     power,
-    write_derived,
 )
 from drivemon.errors import DataError
 from drivemon.telemetry import SENSOR_CHANNELS
@@ -150,18 +149,3 @@ def test_constant_voltage_links_power_and_current_deviation():
         pd = derived.channel(f"pdev_{w}")
         cd = derived.channel(f"cdev_{w}")
         assert np.max(np.abs(pd - 28.0 * cd)) < 1e-9
-
-
-def test_write_derived_csv(tmp_path):
-    stream = make_stream(4, seed=2)
-    derived = derive_stream(stream)
-    path = tmp_path / "derived.csv"
-    write_derived(derived, path)
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    assert header[:2] == ["t", "sol"]
-    assert len(header) == 2 + 46
-    assert header[-1] == "pdev_RR"
-    first = [float(v) for v in lines[1].split(",")[2:]]
-    # columns after the 28 sensor channels are power, cdev, pdev per wheel
-    assert first[28] == pytest.approx(float(derived.channel("power_LF")[0]))

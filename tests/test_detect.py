@@ -5,16 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drivemon.detect import (
-    AnomalyScore,
-    ErrorVector,
     Threshold,
     calibrate,
     flag,
     nearest_rank,
-    one_norm,
     read_report_json,
     read_scores_csv,
-    score,
     score_matrix,
     top_contributors,
     write_report_csv,
@@ -22,7 +18,7 @@ from drivemon.detect import (
     write_scores_csv,
 )
 from drivemon.errors import ArtifactError, DataError
-from drivemon.features import FeatureVector, MinMaxScaler, feature_mask
+from drivemon.features import MinMaxScaler, feature_mask
 from drivemon.net import AutoencoderModel
 
 import numpy.testing as npt
@@ -42,35 +38,33 @@ def unit_scaler(d, variant="custom"):
 
 
 def test_one_norm_example():
-    assert one_norm(np.array([0.1, -0.2, 0.3])) == pytest.approx(0.6, abs=1e-15)
+    model = identity_model(3)
+    model.weights[0] = np.zeros((3, 3))  # reconstructs 0, so the residual is x
+    scores, E = score_matrix(model, unit_scaler(3), np.array([0.1, -0.2, 0.3]))
+    assert np.array_equal(E, [[0.1, -0.2, 0.3]])
+    assert scores[0] == pytest.approx(0.6, abs=1e-15)
 
 
 def test_perfect_reconstruction_scores_zero():
     model = identity_model(6)
     scaler = unit_scaler(6)
-    v = FeatureVector(values=np.array([0.1, 0.9, 0.5, 0.2, 0.7, 0.3]), start_t=4.0, sol=7)
-    ev, sc = score(model, scaler, v)
-    assert sc.a == 0.0
-    assert np.array_equal(ev.e, np.zeros(6))
-    assert sc.sol == 7 and sc.start_t == 4.0
+    X = np.array([[0.1, 0.9, 0.5, 0.2, 0.7, 0.3], [0.4, 0.0, 1.0, 0.6, 0.8, 0.5]])
+    scores, E = score_matrix(model, scaler, X)
+    assert np.array_equal(scores, np.zeros(2))
+    assert np.array_equal(E, np.zeros((2, 6)))
 
 
 def test_scores_nonnegative(rng):
     model = identity_model(8)
     model.weights[0] = rng.standard_normal((8, 8))
-    scaler = unit_scaler(8)
-    for _ in range(20):
-        v = FeatureVector(values=rng.standard_normal(8), start_t=0.0, sol=1)
-        _, sc = score(model, scaler, v)
-        assert sc.a >= 0.0
+    scores, _ = score_matrix(model, unit_scaler(8), rng.standard_normal((20, 8)))
+    assert scores.shape == (20,)
+    assert np.all(scores >= 0.0)
 
 
 def test_score_variant_mismatch():
     model = identity_model(6, variant="prime")
     scaler = unit_scaler(6, variant="refined")
-    v = FeatureVector(values=np.zeros(6), start_t=0.0, sol=1)
-    with pytest.raises(ArtifactError):
-        score(model, scaler, v)
     with pytest.raises(ArtifactError):
         score_matrix(model, scaler, np.zeros((2, 6)))
 
@@ -82,10 +76,19 @@ def test_score_matrix_matches_score(rng):
     X = rng.standard_normal((10, 5))
     scores, E = score_matrix(model, scaler, X)
     for i in range(10):
-        ev, sc = score(model, scaler, FeatureVector(values=X[i], start_t=0.0, sol=1))
-        npt.assert_allclose(scores[i], sc.a, rtol=0, atol=1e-12)
+        one_score, one_e = score_matrix(model, scaler, X[i])
+        npt.assert_allclose(scores[i], one_score[0], rtol=0, atol=1e-12)
         # batched GEMM and single-vector GEMV may differ by an ulp
-        npt.assert_allclose(E[i], ev.e, rtol=0, atol=1e-12)
+        npt.assert_allclose(E[i], one_e[0], rtol=0, atol=1e-12)
+
+
+def test_score_matrix_rejects_non_finite_scores():
+    model = identity_model(4)
+    model.weights[0][2, 1] = 1e308
+    X = np.zeros((3, 4))
+    X[1, 1] = 10.0  # only window 1 overflows to an infinite reconstruction
+    with np.errstate(over="ignore"), pytest.raises(ArtifactError, match="window 1"):
+        score_matrix(model, unit_scaler(4), X)
 
 
 @pytest.mark.parametrize("n,p", [(1000, 99.9), (1000, 50.0), (4037, 99.9),
@@ -103,11 +106,11 @@ def test_calibrate_examples():
 
 
 def test_calibrate_constant_distribution_flags_nothing():
-    scores = [AnomalyScore(a=5.0, sol=1, start_t=float(i)) for i in range(200)]
+    scores = np.full(200, 5.0)
     threshold = calibrate(scores, 99.9)
     assert threshold.value == 5.0
-    errors = [ErrorVector(e=np.zeros(322), variant="prime")] * len(scores)
-    assert flag(scores, threshold, errors) == []
+    residuals = np.zeros((200, 322))
+    assert flag(scores, residuals, np.arange(200.0), np.ones(200), threshold, "prime") == []
 
 
 def test_calibrate_guards():
@@ -125,18 +128,21 @@ def test_calibrate_guards():
 
 def test_flag_strict_inequality():
     threshold = Threshold(percentile=99.9, value=2.0, calibration_size=1000)
-    scores = [AnomalyScore(a=2.0, sol=1, start_t=0.0),
-              AnomalyScore(a=2.0000001, sol=1, start_t=1.0)]
-    errors = [ErrorVector(e=np.zeros(322), variant="prime"),
-              ErrorVector(e=np.ones(322) * 0.01, variant="prime")]
-    records = flag(scores, threshold, errors)
+    scores = np.array([2.0, 2.0000001])
+    residuals = np.stack([np.zeros(322), np.ones(322) * 0.01])
+    records = flag(scores, residuals, np.array([0.0, 1.0]), np.array([1, 1]), threshold, "prime")
     assert len(records) == 1 and records[0].start_t == 1.0
 
 
 def test_flag_misalignment():
     threshold = Threshold(percentile=50.0, value=0.0, calibration_size=100)
+    one = np.ones(1)
     with pytest.raises(DataError):
-        flag([AnomalyScore(a=1.0, sol=1, start_t=0.0)], threshold, [])
+        flag(one, np.empty((0, 322)), one, one, threshold, "prime")
+    with pytest.raises(DataError):
+        flag(one, np.ones((1, 322)), np.ones(2), one, threshold, "prime")
+    with pytest.raises(DataError):
+        flag(one, np.ones((1, 301)), one, one, threshold, "prime")  # width of another variant
 
 
 def test_contributor_order_and_floor():
@@ -144,12 +150,12 @@ def test_contributor_order_and_floor():
     # all three above the 10% floor: sorted by |e| descending
     e = np.zeros(322)
     e[0], e[1], e[2] = 0.5, -0.9, 0.3
-    picks = top_contributors(e, one_norm(e), "prime")
+    picks = top_contributors(e, np.abs(e).sum(), "prime")
     assert [p[0] for p in picks] == [names[1], names[0], names[2]]
     assert [p[1] for p in picks] == [0.9, 0.5, 0.3]
     # third falls under 10% of a = 1.5 and is dropped
     e[2] = 0.1
-    picks = top_contributors(e, one_norm(e), "prime")
+    picks = top_contributors(e, np.abs(e).sum(), "prime")
     assert [p[0] for p in picks] == [names[1], names[0]]
     # the top contributor is always kept, floor notwithstanding
     tiny = np.zeros(322)
@@ -161,7 +167,7 @@ def test_contributor_order_and_floor():
 def test_contributor_magnitudes_bounded_by_score(rng):
     for _ in range(25):
         e = rng.standard_normal(301)
-        a = one_norm(e)
+        a = np.abs(e).sum()
         picks = top_contributors(e, a, "refined")
         assert sum(m for _, m in picks) <= a + 1e-12
         assert all(m >= 0 for _, m in picks)
@@ -203,10 +209,9 @@ def test_report_writers_roundtrip(tmp_path):
     names = feature_mask("refined").names()
     e = np.zeros(301)
     e[10], e[20] = 3.0, -2.0
-    scores = [AnomalyScore(a=5.0, sol=1001, start_t=42.0)]
-    errors = [ErrorVector(e=e, variant="refined")]
     threshold = Threshold(percentile=99.9, value=4.0, calibration_size=500)
-    records = flag(scores, threshold, errors)
+    records = flag(np.array([5.0]), e[None, :], np.array([42.0]), np.array([1001]),
+                   threshold, "refined")
     assert len(records) == 1
     csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
     write_report_csv(records, csv_path)

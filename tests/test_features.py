@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivemon.derive import derive_stream
+from drivemon.derive import DerivedStream, derive_stream
 from drivemon.errors import ArtifactError, DataError
 from drivemon.features import (
     N_PRIME_FEATURES,
     N_REFINED_FEATURES,
     STATS,
     FeatureId,
-    FeatureVector,
     MinMaxScaler,
     WindowSpec,
     feature_mask,
     feature_matrix,
-    featurize,
     fit_scaler,
     stats7,
-    windows,
+    window_arrays,
 )
 
 from conftest import make_stream
@@ -48,27 +46,28 @@ def test_window_counts(n, expected):
     stream = derived(n)
     if expected == 0:
         with pytest.warns(UserWarning):
-            ws = windows(stream)
+            data, start_t, sol = window_arrays(stream)
     else:
-        ws = windows(stream)
-    assert len(ws) == expected
+        data, start_t, sol = window_arrays(stream)
+    assert data.shape == (expected, 32, 46)
+    assert len(start_t) == len(sol) == expected
 
 
 def test_window_counts_match_enumerator():
     # brute-force enumerator over a sample of lengths (full sweep in acceptance)
     for n in list(range(32, 200)) + [511, 512, 513, 1000]:
         stream = derived(n, seed=1)
-        assert len(windows(stream)) == window_count_oracle(n)
+        assert window_arrays(stream)[0].shape[0] == window_count_oracle(n)
 
 
 def test_window_starts_and_metadata():
     stream = derived(48, seed=2)
-    ws = windows(stream)
-    assert ws[0].start_t == stream.t[0]
-    assert ws[1].start_t == stream.t[8]
-    assert ws[0].sol == int(stream.sol[0])
-    assert ws[0].data.shape == (32, 46)
-    assert np.array_equal(ws[1].data, stream.values[8:40])
+    data, start_t, sol = window_arrays(stream)
+    assert start_t[0] == stream.t[0]
+    assert start_t[1] == stream.t[8]
+    assert sol[0] == int(stream.sol[0])
+    assert data[0].shape == (32, 46)
+    assert np.array_equal(data[1], stream.values[8:40])
 
 
 def test_stats7_constant_window():
@@ -152,37 +151,35 @@ def test_masks():
 
 def test_featurize_lengths_and_zero_window():
     stream = derived(32, seed=4)
-    w = windows(stream)[0]
-    assert len(featurize(w, feature_mask("prime")).values) == 322
-    assert len(featurize(w, feature_mask("refined")).values) == 301
-    from drivemon.features import Window
-    zero = Window(start_t=0.0, sol=1, data=np.zeros((32, 46)))
-    out = featurize(zero, feature_mask("prime"))
-    assert np.array_equal(out.values, np.zeros(322))
+    assert feature_matrix(stream, WindowSpec(), feature_mask("prime"))[0].shape == (1, 322)
+    assert feature_matrix(stream, WindowSpec(), feature_mask("refined"))[0].shape == (1, 301)
+    zero = DerivedStream(t=stream.t.copy(), sol=stream.sol.copy(), values=np.zeros((32, 46)))
+    X, _, _ = feature_matrix(zero, WindowSpec(), feature_mask("prime"))
+    assert np.array_equal(X, np.zeros((1, 322)))
 
 
-def test_feature_matrix_matches_featurize():
+def test_feature_matrix_matches_stats7_oracle():
     stream = derived(64, seed=6)
     spec = WindowSpec()
     for variant in ("prime", "refined"):
         mask = feature_mask(variant)
         X, start_t, sol = feature_matrix(stream, spec, mask)
-        ws = windows(stream, spec)
-        assert X.shape == (len(ws), len(mask))
-        for i, w in enumerate(ws):
-            fv = featurize(w, mask)
-            assert np.array_equal(X[i], fv.values)
-            assert start_t[i] == w.start_t
-            assert sol[i] == w.sol
-
-
-def _vectors(matrix):
-    return [FeatureVector(values=row, start_t=float(i), sol=1) for i, row in enumerate(matrix)]
+        n = window_count_oracle(64)
+        assert X.shape == (n, len(mask))
+        for i in range(n):
+            frames = slice(8 * i, 8 * i + 32)
+            assert start_t[i] == stream.t[frames.start]
+            assert sol[i] == stream.sol[frames.start]
+            for ch in range(46):
+                expected = stats7_oracle(stream.values[frames, ch])
+                for j in np.flatnonzero(mask.indices // 7 == ch):
+                    stat = mask.indices[j] % 7
+                    assert abs(X[i, j] - expected[stat]) <= 1e-10
 
 
 def test_fit_scaler_examples():
     X = np.array([[2.0, 5.0], [3.0, 5.0], [4.0, 5.0]])
-    scaler = fit_scaler(_vectors(X), variant="custom")
+    scaler = fit_scaler(X, variant="custom")
     assert scaler.min_[0] == 2.0 and scaler.max_[0] == 4.0
     assert scaler.constant_features == [1]
 
@@ -195,13 +192,13 @@ def test_fit_scaler_identical_vectors_all_constant():
 
 def test_fit_scaler_guards():
     with pytest.raises(DataError):
-        fit_scaler([], variant="custom")
+        fit_scaler(np.empty((0, 3)), variant="custom")
     with pytest.raises(DataError):
         fit_scaler(np.array([[1.0, 2.0]]), variant="custom")  # single sample
-    ragged = [FeatureVector(values=np.zeros(3), start_t=0.0, sol=1),
-              FeatureVector(values=np.zeros(4), start_t=1.0, sol=1)]
     with pytest.raises(DataError):
-        fit_scaler(ragged, variant="custom")
+        fit_scaler(np.zeros(3), variant="custom")  # a vector, not a matrix
+    with pytest.raises(DataError):
+        fit_scaler(np.array([[1.0, np.nan], [2.0, 3.0]]), variant="custom")
 
 
 def test_transform_examples():
@@ -223,41 +220,12 @@ def test_transform_fitting_set_spans_unit_interval(rng):
     assert np.allclose(T.max(axis=0), 1.0)
 
 
-def test_module_level_transform():
-    from drivemon.features import transform
-
-    scaler = MinMaxScaler("custom", np.array([0.0, 0.0]), np.array([2.0, 4.0]))
-    fv = FeatureVector(values=np.array([1.0, 1.0]), start_t=3.0, sol=9)
-    out = transform(scaler, fv)
-    assert isinstance(out, FeatureVector)
-    assert np.array_equal(out.values, [0.5, 0.25])
-    assert out.start_t == 3.0 and out.sol == 9
-    assert np.array_equal(transform(scaler, np.array([1.0, 1.0])), [0.5, 0.25])
-
-
 def test_scaler_variant_inference():
     rng = np.random.default_rng(0)
     assert fit_scaler(rng.random((3, 322))).variant == "prime"
     assert fit_scaler(rng.random((3, 301))).variant == "refined"
     with pytest.raises(DataError):
         fit_scaler(rng.random((3, 5)))  # width matches no variant
-
-
-def test_write_feature_csv(tmp_path):
-    from drivemon.features import write_feature_csv
-
-    stream = derived(40, seed=8)
-    mask = feature_mask("refined")
-    X, start_t, sol = feature_matrix(stream, WindowSpec(), mask)
-    path = tmp_path / "features.csv"
-    write_feature_csv(path, X, start_t, sol, mask)
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    assert header[:2] == ["sol", "start_t"]
-    assert header[2:] == mask.names()
-    assert len(lines) == 1 + X.shape[0]
-    row0 = lines[1].split(",")
-    assert float(row0[2]) == X[0, 0]
 
 
 def test_scaler_json_roundtrip(tmp_path):

@@ -111,7 +111,8 @@ def test_forward_222_hand_computed():
     # z1 = [1.0, 0.6]; a1 = sigmoid(z1); out = [a1_0 - a1_1, 2 a1_0 + a1_1 + 1]
     expected = np.array([0.0854022724042095, 3.107773463485805])
     assert np.max(np.abs(out - expected)) < 1e-12
-    assert np.max(np.abs(cache.zs[0] - np.array([1.0, 0.6]))) < 1e-15
+    a1 = 1.0 / (1.0 + np.exp(-np.array([1.0, 0.6])))
+    assert np.max(np.abs(cache.activations[1] - a1)) < 1e-15
 
 
 def test_forward_dim_mismatch():
@@ -323,6 +324,20 @@ def test_load_rejects_inconsistent_shapes(tmp_path):
     doc["dims"][1] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(ArtifactError, match="layer"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("param", ["weights", "biases"])
+def test_load_rejects_non_finite_parameters(tmp_path, param):
+    model = toy_model(0)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    layer = np.asarray(doc[param][1])
+    layer.flat[0] = np.nan
+    doc[param][1] = layer.tolist()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match="model.json: layer 1"):
         load_model(path)
 
 

@@ -179,15 +179,6 @@ def test_streams_are_read_only():
         stream.t[0] = -1.0
 
 
-def test_frame_accessor():
-    stream = make_stream(4, sol=1234)
-    frame = stream.frame(2)
-    assert frame.t == pytest.approx(0.25)
-    assert frame.sol == 1234
-    assert set(frame.values) == set(SENSOR_CHANNELS)
-    assert frame.values["accel_Z"] == stream.values[2, SENSOR_CHANNELS.index("accel_Z")]
-
-
 def test_uniform_time_axis_is_exact():
     t = uniform_time_axis(1000)
     assert np.array_equal(np.diff(t), np.full(999, 0.125))
