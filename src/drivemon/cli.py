@@ -17,7 +17,7 @@ from pathlib import Path
 from . import detect as det
 from . import synth
 from .derive import derive_stream
-from .errors import ArtifactError, DataError, PipelineError, read_json
+from .errors import ArtifactError, DataError, PipelineError, get_field, read_json
 from .features import WindowSpec, feature_mask, feature_matrix, fit_scaler, MinMaxScaler
 from .net import TrainConfig, build_model, load_model, save_model, train
 from .telemetry import read_stream, write_stream
@@ -113,13 +113,23 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 def _window_spec(args, pipeline: dict) -> WindowSpec:
     """The trained window length, with --stride-s free to move window placement."""
-    stride_s = args.stride_s if args.stride_s is not None else pipeline.get("stride_s", 1.0)
-    return WindowSpec(window_s=pipeline.get("window_s", 4.0), stride_s=stride_s)
+    stride_s = args.stride_s if args.stride_s is not None else pipeline["stride_s"]
+    return WindowSpec(window_s=pipeline["window_s"], stride_s=stride_s)
 
 
 def _load_pipeline(artifacts: Path) -> dict:
+    """pipeline.json, with window_s and stride_s read as numbers (4.0 and 1.0 if absent)."""
     path = artifacts / PIPELINE_FILE
-    return read_json(path) if path.exists() else {}
+    doc = read_json(path) if path.exists() else {}
+    if not isinstance(doc, dict):
+        raise ArtifactError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    for key, default in (("window_s", 4.0), ("stride_s", 1.0)):
+        doc[key] = get_field(doc, key, float, str(path)) if key in doc else default
+    try:
+        WindowSpec(window_s=doc["window_s"], stride_s=doc["stride_s"])
+    except DataError as exc:
+        raise ArtifactError(f"{path}: {exc}") from None
+    return doc
 
 
 def _features_from_csv(data: Path, spec: WindowSpec, variant: str):
@@ -247,7 +257,7 @@ def cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
     records = det.read_report_json(report_path)
     _, start_t, _ = det.read_scores_csv(scores_path)
     events = synth.read_labels(args.labels)
-    window_s = _load_pipeline(args.artifacts).get("window_s", 4.0)
+    window_s = _load_pipeline(args.artifacts)["window_s"]
 
     nominal_total = sum(
         0 if any(_overlaps(float(t0), window_s, ev) for ev in events) else 1

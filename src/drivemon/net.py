@@ -5,10 +5,16 @@ features through layers of 322-182-143-143-182-322 neurons; the "refined"
 model takes 301 features through 301-176-141-141-176-301. Layers 2 and 5 are
 sigmoid, the rest linear, and the 143/141-wide bottleneck makes the network
 undercomplete. Everything is double precision so gradient checks are tight.
+
+Every weight and bias lives in one contiguous float64 buffer,
+``AutoencoderModel.params``, laid out layer by layer as W_l row-major then
+b_l. Gradients use the same layout, ADAM updates the whole buffer at once,
+and ``model.json`` stores it as base64 of its little-endian bytes.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import time
@@ -17,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, DataError, TrainingError, read_json
+from .errors import ArtifactError, DataError, TrainingError, get_field, read_json
 
 ACTIVATIONS = ("linear", "sigmoid")
 
@@ -34,43 +40,70 @@ ARCHITECTURES = {
 }
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, split by sign so exp never overflows."""
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function, split by sign so exp never overflows.
+
+    With e = exp(-|z|) this is 1 / (1 + e) where z >= 0 and e / (1 + e)
+    elsewhere, bit for bit the same as evaluating each side on its own
+    elements. ``out`` may be ``z`` itself.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # min(z, -z) is -|z|, but keeps the sign bit of a NaN as exp(z) would
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    out = np.add(e, 1.0, out=out)
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, out, out=out)
 
 
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "linear":
-        return z
-    if name == "sigmoid":
-        return sigmoid(z)
-    raise DataError(f"unknown activation {name!r}")
+def _layer_views(flat: np.ndarray, dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Split a flat buffer into per-layer views: W_l (out_l, in_l) row-major, then b_l."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[offset:offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        offset += fan_out * fan_in
+        biases.append(flat[offset:offset + fan_out])
+        offset += fan_out
+    return weights, biases
 
 
-def _activation_grad(name: str, a: np.ndarray) -> np.ndarray:
-    """Derivative wrt pre-activation, expressed through the activation value."""
-    if name == "linear":
-        return np.ones_like(a)
-    return a * (1.0 - a)
+def _param_count(dims) -> int:
+    return sum(fan_out * fan_in + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
 
 
 @dataclass
 class AutoencoderModel:
-    """Dense autoencoder weights plus the metadata needed to persist it."""
+    """Dense autoencoder weights plus the metadata needed to persist it.
+
+    The given weights and biases are copied into ``params``; afterwards
+    ``weights`` and ``biases`` are tuples of views into it, so writing to an
+    array in place writes to the model.
+    """
 
     variant: str
     dims: tuple[int, ...]           # (input, out_1, ..., out_L)
     activations: tuple[str, ...]
-    weights: list[np.ndarray]       # W_l is (out_l, in_l)
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]  # W_l is (out_l, in_l)
+    biases: tuple[np.ndarray, ...]
     seed: int | None = None
     train_config: dict | None = None
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = np.empty(_param_count(self.dims))
+        weights, biases = _layer_views(self.params, self.dims)
+        if len(self.weights) != len(weights) or len(self.biases) != len(biases):
+            raise DataError(f"dims {self.dims} need {len(weights)} weight and bias arrays")
+        for l, (W, b, W_in, b_in) in enumerate(zip(weights, biases, self.weights, self.biases)):
+            W_in, b_in = np.asarray(W_in, dtype=np.float64), np.asarray(b_in, dtype=np.float64)
+            if W_in.shape != W.shape or b_in.shape != b.shape:
+                raise DataError(f"layer {l} has shapes {W_in.shape} and {b_in.shape}, "
+                                f"expected {W.shape} and {b.shape}")
+            W[...] = W_in
+            b[...] = b_in
+        self.weights, self.biases = tuple(weights), tuple(biases)
 
     @property
     def input_dim(self) -> int:
@@ -85,7 +118,7 @@ class AutoencoderModel:
         return min(self.dims[1:])
 
     def parameter_count(self) -> int:
-        return sum(W.size + b.size for W, b in zip(self.weights, self.biases))
+        return self.params.size
 
 
 def new_model(
@@ -130,20 +163,38 @@ class ForwardCache:
     activations: list[np.ndarray]  # activations[0] is the input
 
 
-def forward(model: AutoencoderModel, x) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network; accepts a (d,) vector or an (n, d) batch."""
+def forward(
+    model: AutoencoderModel, x, cache: ForwardCache | None = None
+) -> tuple[np.ndarray, ForwardCache]:
+    """Run the network; accepts a (d,) vector or an (n, d) batch.
+
+    Passing the cache of an earlier call with the same number of rows reuses
+    its activation buffers: they, and the output returned before, are
+    overwritten.
+    """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     X = np.atleast_2d(x)
     if X.shape[1] != model.input_dim:
         raise DataError(f"expected input dim {model.input_dim}, got {X.shape[1]}")
+    if cache is None:
+        cache = ForwardCache(x=X, activations=[X] + [np.empty((len(X), d))
+                                                     for d in model.dims[1:]])
+    elif cache.x.shape != X.shape:
+        raise DataError(f"cache holds {cache.x.shape} inputs, got {X.shape}")
+    cache.x = cache.activations[0] = X
     a = X
-    acts = [X]
-    for W, b, act in zip(model.weights, model.biases, model.activations):
-        a = _apply_activation(act, a @ W.T + b)
-        acts.append(a)
+    for W, b, act, z in zip(model.weights, model.biases, model.activations,
+                            cache.activations[1:]):
+        np.matmul(a, W.T, out=z)
+        z += b
+        if act == "sigmoid":
+            sigmoid(z, out=z)
+        elif act != "linear":
+            raise DataError(f"unknown activation {act!r}")
+        a = z
     out = a[0] if squeeze else a
-    return out, ForwardCache(x=X, activations=acts)
+    return out, cache
 
 
 def encode(model: AutoencoderModel, x) -> np.ndarray:
@@ -154,47 +205,68 @@ def encode(model: AutoencoderModel, x) -> np.ndarray:
     return h[0] if np.asarray(x).ndim == 1 else h
 
 
-def mse_loss(x_hat, x) -> float:
-    """Mean squared reconstruction error, averaged over every element."""
+def mse_loss(x_hat, x, residual: np.ndarray | None = None) -> float:
+    """Mean squared reconstruction error, averaged over every element.
+
+    When ``residual`` is given, x_hat - x is written into it, for backward.
+    """
     x_hat = np.asarray(x_hat, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if x_hat.shape != x.shape:
         raise DataError(f"shape mismatch {x_hat.shape} vs {x.shape}")
-    d = x_hat - x
+    d = np.subtract(x_hat, x, out=residual)
     return float(np.mean(d * d))
 
 
 def backward(
-    model: AutoencoderModel, cache: ForwardCache, x
+    model: AutoencoderModel, cache: ForwardCache, x,
+    grads: np.ndarray | None = None, residual: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact gradients of mse_loss(forward(x), x) wrt every weight and bias."""
+    """Exact gradients of mse_loss(forward(x), x) wrt every weight and bias.
+
+    The gradients are views into one flat buffer laid out like
+    ``model.params``: ``grads`` when given, else a new one. ``residual`` may
+    pass in the output minus x that mse_loss wrote, so it is not recomputed.
+    """
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if X.shape != cache.x.shape or not np.array_equal(X, cache.x):
         raise DataError("cache does not match the given input; rerun forward")
     out = cache.activations[-1]
-    delta = (out - X) * (2.0 / out.size)
-    dWs: list[np.ndarray] = [None] * model.n_layers
-    dbs: list[np.ndarray] = [None] * model.n_layers
+    if grads is None:
+        grads = np.empty_like(model.params)
+    dWs, dbs = _layer_views(grads, model.dims)
+    if residual is None:
+        residual = out - X
+    delta = residual * (2.0 / out.size)
     for l in range(model.n_layers - 1, -1, -1):
-        dz = delta * _activation_grad(model.activations[l], cache.activations[l + 1])
-        dWs[l] = dz.T @ cache.activations[l]
-        dbs[l] = dz.sum(axis=0)
+        if model.activations[l] == "sigmoid":
+            # dz = delta * a (1 - a), the derivative through the activation value
+            a = cache.activations[l + 1]
+            slope = 1.0 - a
+            slope *= a
+            delta *= slope
+        np.matmul(delta.T, cache.activations[l], out=dWs[l])
+        np.sum(delta, axis=0, out=dbs[l])
         if l > 0:
-            delta = dz @ model.weights[l]
+            delta = delta @ model.weights[l]
     return dWs, dbs
 
 
 @dataclass
 class AdamState:
-    """First and second moment accumulators, one pair per parameter array."""
+    """First and second moment accumulators, one pair per parameter array,
+    and two scratch buffers as long as the largest array."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
+    scratch: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "AdamState":
+        size = max(p.size for p in params)
         return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+                   v=[np.zeros_like(p) for p in params],
+                   scratch=(np.empty(size), np.empty(size)))
 
 
 def adam_step(
@@ -207,7 +279,11 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected ADAM update, applied in place."""
+    """One bias-corrected ADAM update (Kingma & Ba 2015, Alg. 1), applied in place.
+
+    Per element: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, then
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), evaluated in that order.
+    """
     if t < 1:
         raise DataError("adam step index t must be >= 1")
     if not (len(state.m) == len(params) == len(grads)):
@@ -215,13 +291,22 @@ def adam_step(
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     for m, v, p, g in zip(state.m, state.v, params, grads):
-        if p.shape != g.shape:
+        if not p.shape == g.shape == m.shape:
             raise DataError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+        s1, s2 = (s[:p.size].reshape(p.shape) for s in state.scratch)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=s1)
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - beta2
+        v += s1
+        np.divide(m, bc1, out=s1)
+        s1 *= lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += eps
+        s1 /= s2
+        p -= s1
     return params, state
 
 
@@ -317,8 +402,22 @@ def train(
     X_val, X_train = X[val_idx], X[train_idx]
     n_train, d = X_train.shape
 
-    params = model.weights + model.biases
-    state = AdamState.for_params(params)
+    grads = np.empty_like(model.params)
+    state = AdamState.for_params([model.params])
+    # activation and residual buffers, one set per batch size
+    buffers: dict[int, tuple[ForwardCache, np.ndarray]] = {}
+
+    def reconstruct(batch: np.ndarray) -> tuple[ForwardCache, np.ndarray, float]:
+        cache, residual = buffers.get(len(batch), (None, None))
+        # divergence shows up as inf/nan loss and aborts below, so the
+        # overflow itself is not worth a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, cache = forward(model, batch, cache)
+        if residual is None:
+            residual = np.empty_like(out)
+        buffers[len(batch)] = cache, residual
+        return cache, residual, mse_loss(out, batch, residual)
+
     report = TrainReport(thread_note=_thread_note())
     step = 0
     for epoch in range(config.epochs):
@@ -326,27 +425,21 @@ def train(
         sse = 0.0
         for b0 in range(0, n_train, config.batch_size):
             batch = X_train[order[b0:b0 + config.batch_size]]
-            # divergence shows up as inf/nan loss and aborts below, so the
-            # overflow itself is not worth a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                out, cache = forward(model, batch)
-            batch_loss = mse_loss(out, batch)
+            cache, residual, batch_loss = reconstruct(batch)
             if not np.isfinite(batch_loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {b0 // config.batch_size}"
                 )
             sse += batch_loss * batch.size
-            dWs, dbs = backward(model, cache, batch)
+            backward(model, cache, batch, grads, residual)
             step += 1
             adam_step(
-                state, params, dWs + dbs, step,
+                state, [model.params], [grads], step,
                 lr=config.learning_rate, beta1=config.beta1,
                 beta2=config.beta2, eps=config.eps,
             )
         report.train_losses.append(sse / (n_train * d))
-        with np.errstate(over="ignore", invalid="ignore"):
-            val_out, _ = forward(model, X_val)
-        val_loss = mse_loss(val_out, X_val)
+        _, _, val_loss = reconstruct(X_val)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss after epoch {epoch}")
         report.val_losses.append(val_loss)
@@ -358,13 +451,13 @@ def train(
 
 
 def save_model(model: AutoencoderModel, path: str | Path) -> None:
-    """Persist a model as JSON; floats keep full round-trip precision."""
+    """Persist a model as JSON; ``params`` is base64 of the "<f8" parameter buffer."""
+    raw = model.params.astype("<f8", copy=False).tobytes()
     doc = {
         "variant": model.variant,
         "dims": list(model.dims),
         "activations": list(model.activations),
-        "weights": [W.tolist() for W in model.weights],
-        "biases": [b.tolist() for b in model.biases],
+        "params": base64.b64encode(raw).decode("ascii"),
         "seed": model.seed,
         "train_config": model.train_config,
     }
@@ -374,28 +467,33 @@ def save_model(model: AutoencoderModel, path: str | Path) -> None:
 def load_model(path: str | Path, expect_variant: str | None = None) -> AutoencoderModel:
     """Load a persisted model, validating structure and (optionally) variant."""
     doc = read_json(path)
-    try:
-        dims = tuple(int(d) for d in doc["dims"])
-        activations = tuple(doc["activations"])
-        weights = [np.asarray(W, dtype=np.float64) for W in doc["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
-        model = AutoencoderModel(
-            variant=doc["variant"], dims=dims, activations=activations,
-            weights=weights, biases=biases, seed=doc.get("seed"),
-            train_config=doc.get("train_config"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"malformed model file {path}: {exc}") from exc
-    if len(activations) != len(dims) - 1 or len(weights) != len(dims) - 1:
-        raise ArtifactError(f"{path}: dims, activations, and weights are inconsistent")
+    where = str(path)
+    if isinstance(doc, dict) and "weights" in doc and "params" not in doc:
+        raise ArtifactError(f"{path}: weights stored as nested lists are an older model "
+                            "format that is no longer read; retrain the model")
+    variant = get_field(doc, "variant", str, where)
+    dims = get_field(doc, "dims", lambda v: tuple(int(d) for d in v), where)
+    activations = get_field(doc, "activations", tuple, where)
+    raw = get_field(doc, "params", lambda v: base64.b64decode(v, validate=True), where)
+    if len(dims) < 2 or min(dims) < 1 or len(activations) != len(dims) - 1:
+        raise ArtifactError(f"{path}: dims {list(dims)} and {len(activations)} "
+                            "activations are inconsistent")
+    for l, act in enumerate(activations):
+        if act not in ACTIVATIONS:
+            raise ArtifactError(f"{path}: layer {l} has unknown activation {act!r}; "
+                                f"expected one of {', '.join(ACTIVATIONS)}")
+    if len(raw) != 8 * _param_count(dims):
+        raise ArtifactError(f"{path}: params holds {len(raw)} bytes, but dims {list(dims)} "
+                            f"need {8 * _param_count(dims)}")
+    weights, biases = _layer_views(np.frombuffer(raw, dtype="<f8"), dims)
     for l, (W, b) in enumerate(zip(weights, biases)):
-        if W.shape != (dims[l + 1], dims[l]) or b.shape != (dims[l + 1],):
-            raise ArtifactError(f"{path}: layer {l} has shape {W.shape}, expected "
-                                f"({dims[l + 1]}, {dims[l]})")
         if not (np.isfinite(W).all() and np.isfinite(b).all()):
             raise ArtifactError(f"{path}: layer {l} has non-finite weights or biases")
-    if expect_variant is not None and model.variant != expect_variant:
+    if expect_variant is not None and variant != expect_variant:
         raise ArtifactError(
-            f"{path}: model variant is {model.variant!r}, expected {expect_variant!r}"
+            f"{path}: model variant is {variant!r}, expected {expect_variant!r}"
         )
-    return model
+    return AutoencoderModel(
+        variant=variant, dims=dims, activations=activations, weights=weights,
+        biases=biases, seed=doc.get("seed"), train_config=doc.get("train_config"),
+    )

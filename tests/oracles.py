@@ -87,3 +87,91 @@ def max_relative_gradient_error(analytic, numeric, floor=1e-4):
         denom = np.maximum(np.abs(a) + np.abs(n), floor)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+def reference_sigmoid(z):
+    """Logistic function by boolean gather and scatter, split by sign."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_train(weights, biases, activations, X, config):
+    """Autoencoder training with per-layer arrays and list-wise ADAM.
+
+    The loop the flat-buffer trainer must reproduce bit for bit: the same
+    seeded split and shuffles, full-batch forward passes through
+    reference_sigmoid, per-layer backprop and per-array ADAM (Kingma & Ba
+    2015, Alg. 1). Trains copies of the given arrays and returns
+    (weights, biases, train_losses, val_losses).
+    """
+    weights = [np.array(W, dtype=np.float64) for W in weights]
+    biases = [np.array(b, dtype=np.float64) for b in biases]
+
+    def forward(x):
+        acts = [x]
+        for W, b, act in zip(weights, biases, activations):
+            z = acts[-1] @ W.T + b
+            acts.append(reference_sigmoid(z) if act == "sigmoid" else z)
+        return acts
+
+    def mse(x_hat, x):
+        d = x_hat - x
+        return float(np.mean(d * d))
+
+    def backward(acts, x):
+        out = acts[-1]
+        delta = (out - x) * (2.0 / out.size)
+        dWs, dbs = [None] * len(weights), [None] * len(weights)
+        for l in range(len(weights) - 1, -1, -1):
+            a = acts[l + 1]
+            grad = np.ones_like(a) if activations[l] == "linear" else a * (1.0 - a)
+            dz = delta * grad
+            dWs[l] = dz.T @ acts[l]
+            dbs[l] = dz.sum(axis=0)
+            if l > 0:
+                delta = dz @ weights[l]
+        return dWs, dbs
+
+    params = weights + biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+
+    def adam(grads, t):
+        lr, beta1, beta2, eps = (config.learning_rate, config.beta1,
+                                 config.beta2, config.eps)
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for mi, vi, p, g in zip(m, v, params, grads):
+            mi *= beta1
+            mi += (1.0 - beta1) * g
+            vi *= beta2
+            vi += (1.0 - beta2) * (g * g)
+            p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+
+    X = np.asarray(X, dtype=np.float64)
+    rng = np.random.default_rng(config.rng_seed)
+    n = X.shape[0]
+    perm = rng.permutation(n)
+    n_val = min(max(1, round(n * config.validation_fraction)), n - 1)
+    X_val, X_train = X[perm[:n_val]], X[perm[n_val:]]
+    n_train, d = X_train.shape
+    train_losses, val_losses = [], []
+    step = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n_train)
+        sse = 0.0
+        for b0 in range(0, n_train, config.batch_size):
+            batch = X_train[order[b0:b0 + config.batch_size]]
+            acts = forward(batch)
+            sse += mse(acts[-1], batch) * batch.size
+            dWs, dbs = backward(acts, batch)
+            step += 1
+            adam(dWs + dbs, step)
+        train_losses.append(sse / (n_train * d))
+        val_losses.append(mse(forward(X_val)[-1], X_val))
+    return weights, biases, train_losses, val_losses

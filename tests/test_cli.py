@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -262,10 +263,27 @@ def test_detect_nan_weight_exits_4(tmp_path, data_dir, trained_dir, capsys):
     for name in ("model.json", "scaler.json", "threshold.json", "pipeline.json"):
         (art / name).write_bytes((trained_dir / name).read_bytes())
     doc = json.loads((art / "model.json").read_text())
-    doc["weights"][2][0][0] = float("nan")
+    params = np.frombuffer(base64.b64decode(doc["params"]), dtype="<f8").copy()
+    dims = doc["dims"]
+    # W_0, b_0, W_1, b_1, then W_2[0, 0]
+    params[dims[1] * dims[0] + dims[1] + dims[2] * dims[1] + dims[2]] = np.nan
+    doc["params"] = base64.b64encode(params.tobytes()).decode("ascii")
     (art / "model.json").write_text(json.dumps(doc))
     assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art) == 4
     assert "layer 2" in capsys.readouterr().err
+
+
+def test_detect_unknown_activation_exits_4(tmp_path, data_dir, trained_dir, capsys):
+    art = tmp_path / "art"
+    art.mkdir()
+    for name in ("model.json", "scaler.json", "threshold.json", "pipeline.json"):
+        (art / name).write_bytes((trained_dir / name).read_bytes())
+    doc = json.loads((art / "model.json").read_text())
+    doc["activations"][1] = "relu"
+    (art / "model.json").write_text(json.dumps(doc))
+    assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art) == 4
+    err = capsys.readouterr().err
+    assert "model.json" in err and "'relu'" in err
 
 
 @pytest.mark.parametrize("command,name,content,code", [
@@ -299,6 +317,33 @@ def test_malformed_input_exit_code(tmp_path, data_dir, trained_dir, capsys,
         args = ("evaluate", "--artifacts", art, "--labels", art / "labels.json")
     assert run(*args) == code
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "detect", "evaluate"])
+@pytest.mark.parametrize("content,named", [
+    ("[]", "JSON object"),
+    ('{"window_s": "x"}', "window_s"),
+    ('{"stride_s": "x", "window_s": 4.0}', "stride_s"),
+    ('{"window_s": 3.3}', "whole frame counts"),
+], ids=["list", "window-text", "stride-text", "window-off-grid"])
+def test_malformed_pipeline_exits_4(tmp_path, data_dir, trained_dir, capsys,
+                                    command, content, named):
+    """A damaged pipeline.json exits 4, naming the file and the field."""
+    art = tmp_path / "art"
+    art.mkdir()
+    for kept in ("model.json", "scaler.json", "threshold.json"):
+        (art / kept).write_bytes((trained_dir / kept).read_bytes())
+    (art / "report.json").write_text("[]\n")
+    (art / "scores.csv").write_text("sol,start_t,score\n1,0.0,0.1\n")
+    (art / "labels.json").write_text("[]\n")
+    (art / "pipeline.json").write_text(content)
+    if command == "evaluate":
+        args = ("evaluate", "--artifacts", art, "--labels", art / "labels.json")
+    else:
+        args = (command, "--data", data_dir / "train.csv", "--artifacts", art)
+    assert run(*args) == 4
+    err = capsys.readouterr().err
+    assert "pipeline.json" in err and named in err
 
 
 @pytest.mark.parametrize("command,flag,name", [

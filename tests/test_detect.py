@@ -39,7 +39,7 @@ def unit_scaler(d, variant="custom"):
 
 def test_one_norm_example():
     model = identity_model(3)
-    model.weights[0] = np.zeros((3, 3))  # reconstructs 0, so the residual is x
+    model.weights[0][...] = np.zeros((3, 3))  # reconstructs 0, so the residual is x
     scores, E = score_matrix(model, unit_scaler(3), np.array([0.1, -0.2, 0.3]))
     assert np.array_equal(E, [[0.1, -0.2, 0.3]])
     assert scores[0] == pytest.approx(0.6, abs=1e-15)
@@ -56,7 +56,7 @@ def test_perfect_reconstruction_scores_zero():
 
 def test_scores_nonnegative(rng):
     model = identity_model(8)
-    model.weights[0] = rng.standard_normal((8, 8))
+    model.weights[0][...] = rng.standard_normal((8, 8))
     scores, _ = score_matrix(model, unit_scaler(8), rng.standard_normal((20, 8)))
     assert scores.shape == (20,)
     assert np.all(scores >= 0.0)
@@ -71,7 +71,7 @@ def test_score_variant_mismatch():
 
 def test_score_matrix_matches_score(rng):
     model = identity_model(5)
-    model.weights[0] = rng.standard_normal((5, 5)) * 0.3
+    model.weights[0][...] = rng.standard_normal((5, 5)) * 0.3
     scaler = MinMaxScaler("custom", -np.ones(5), np.ones(5) * 2.0)
     X = rng.standard_normal((10, 5))
     scores, E = score_matrix(model, scaler, X)

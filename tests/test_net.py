@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -22,7 +23,12 @@ from drivemon.net import (
     train,
 )
 
-from oracles import central_difference_grads, max_relative_gradient_error
+from oracles import (
+    central_difference_grads,
+    max_relative_gradient_error,
+    reference_sigmoid,
+    reference_train,
+)
 
 TOY_DIMS = (10, 6, 4, 4, 6, 10)
 TOY_ACTS = ("linear", "sigmoid", "linear", "sigmoid", "linear")
@@ -83,6 +89,16 @@ def test_sigmoid_stable_at_extremes():
     assert s[2] == 0.5
 
 
+def test_sigmoid_bitwise_matches_reference():
+    extremes = [0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 745.0, -745.0,
+                np.nan, -np.nan, 1e-320, -1e-320]
+    z = np.concatenate([extremes, np.random.default_rng(0).standard_normal(1000) * 50])
+    assert sigmoid(z).tobytes() == reference_sigmoid(z).tobytes()
+    in_place = z.copy()
+    sigmoid(in_place, out=in_place)
+    assert in_place.tobytes() == reference_sigmoid(z).tobytes()
+
+
 def test_forward_zero_network():
     model = toy_model()
     for W in model.weights:
@@ -128,6 +144,20 @@ def test_forward_batch_matches_single():
     for i in range(5):
         single, _ = forward(model, X[i])
         assert np.max(np.abs(batch_out[i] - single)) < 1e-15
+
+
+def test_forward_reuses_cache_buffers():
+    model = toy_model(4)
+    rng = np.random.default_rng(1)
+    X1, X2 = rng.random((5, 10)), rng.random((5, 10))
+    expected, _ = forward(model, X2)
+    _, cache = forward(model, X1)
+    buffers = [a.ctypes.data for a in cache.activations[1:]]
+    out, again = forward(model, X2, cache)
+    assert again is cache and np.array_equal(out, expected)
+    assert [a.ctypes.data for a in again.activations[1:]] == buffers
+    with pytest.raises(DataError, match="cache"):
+        forward(model, X2[:4], cache)
 
 
 def test_encode_hits_bottleneck():
@@ -262,6 +292,20 @@ def test_train_is_deterministic():
         assert np.array_equal(Wa, Wb)
 
 
+def test_train_bitwise_matches_reference_loop():
+    # 700 rows: 140 validation, 560 training in batches of 256, 256 and a ragged 48
+    X = np.random.default_rng(5).random((700, 322))
+    model = build_model("prime", seed=4)
+    config = TrainConfig(rng_seed=6, epochs=3)
+    ref_W, ref_b, ref_train, ref_val = reference_train(
+        model.weights, model.biases, model.activations, X, config)
+    model, report = train(model, X, config)
+    for got, want in zip(model.weights + model.biases, ref_W + ref_b):
+        assert np.array_equal(got, want)
+    assert report.train_losses == ref_train
+    assert report.val_losses == ref_val
+
+
 def test_train_no_overfit_on_nominal_data():
     # 200-epoch run on a modest nominal set: validation tracks training
     X = _nominal_feature_matrix(duration_s=600.0, seed=2)
@@ -290,6 +334,32 @@ def test_train_guards():
         TrainConfig(rng_seed=0, validation_fraction=1.0)
 
 
+def _decoded_params(path):
+    return np.frombuffer(base64.b64decode(json.loads(path.read_text())["params"]), dtype="<f8")
+
+
+def _rewrite(path, **fields):
+    doc = json.loads(path.read_text())
+    doc.update(fields)
+    path.write_text(json.dumps(doc))
+
+
+def _encoded(params):
+    return base64.b64encode(np.asarray(params, dtype="<f8").tobytes()).decode("ascii")
+
+
+def test_params_is_one_buffer_of_layer_views():
+    model = toy_model(2)
+    expected = np.concatenate([a.ravel() for W, b in zip(model.weights, model.biases)
+                               for a in (W, b)])
+    assert np.array_equal(model.params, expected)
+    model.weights[1][0, 0] = 7.0
+    model.biases[1][0] = 8.0
+    w1 = TOY_DIMS[1] * TOY_DIMS[0] + TOY_DIMS[1]
+    assert model.params[w1] == 7.0
+    assert model.params[w1 + TOY_DIMS[2] * TOY_DIMS[1]] == 8.0
+
+
 def test_save_load_roundtrip(tmp_path):
     model = toy_model(11)
     x = np.random.default_rng(1).random(10)
@@ -298,11 +368,12 @@ def test_save_load_roundtrip(tmp_path):
     model.train_config = TrainConfig(rng_seed=11, epochs=2).to_json()
     save_model(model, path)
     doc = json.loads(path.read_text())
-    assert set(doc) == {"variant", "dims", "activations", "weights", "biases",
-                        "seed", "train_config"}
+    assert set(doc) == {"variant", "dims", "activations", "params", "seed", "train_config"}
+    assert np.array_equal(_decoded_params(path), model.params)
     back = load_model(path)
     out_after, _ = forward(back, x)
     assert np.array_equal(out_before, out_after)
+    assert np.array_equal(back.params, model.params)
     assert back.dims == model.dims
     assert back.train_config == model.train_config
 
@@ -320,10 +391,18 @@ def test_load_rejects_inconsistent_shapes(tmp_path):
     model = toy_model(0)
     path = tmp_path / "model.json"
     save_model(model, path)
-    doc = json.loads(path.read_text())
-    doc["dims"][1] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ArtifactError, match="layer"):
+    dims = list(TOY_DIMS)
+    dims[1] = 99
+    _rewrite(path, dims=dims)
+    with pytest.raises(ArtifactError, match="model.json: params holds 1712 bytes, but dims"):
+        load_model(path)
+
+
+def test_load_rejects_bad_base64(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(toy_model(0), path)
+    _rewrite(path, params="not base64!")
+    with pytest.raises(ArtifactError, match="model.json: bad value in field 'params'"):
         load_model(path)
 
 
@@ -332,12 +411,34 @@ def test_load_rejects_non_finite_parameters(tmp_path, param):
     model = toy_model(0)
     path = tmp_path / "model.json"
     save_model(model, path)
-    doc = json.loads(path.read_text())
-    layer = np.asarray(doc[param][1])
-    layer.flat[0] = np.nan
-    doc[param][1] = layer.tolist()
-    path.write_text(json.dumps(doc))
+    params = _decoded_params(path).copy()
+    # layer 0 is W_0 then b_0; layer 1's weights follow, then its biases
+    w1 = TOY_DIMS[1] * TOY_DIMS[0] + TOY_DIMS[1]
+    params[w1 if param == "weights" else w1 + TOY_DIMS[2] * TOY_DIMS[1]] = np.nan
+    _rewrite(path, params=_encoded(params))
     with pytest.raises(ArtifactError, match="model.json: layer 1"):
+        load_model(path)
+
+
+def test_load_refuses_list_format(tmp_path):
+    model = toy_model(0)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "variant": model.variant, "dims": list(model.dims),
+        "activations": list(model.activations),
+        "weights": [W.tolist() for W in model.weights],
+        "biases": [b.tolist() for b in model.biases],
+        "seed": 0, "train_config": None,
+    }))
+    with pytest.raises(ArtifactError, match="model.json: .*retrain"):
+        load_model(path)
+
+
+def test_load_rejects_unknown_activation(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(toy_model(0), path)
+    _rewrite(path, activations=["linear", "relu", "linear", "sigmoid", "linear"])
+    with pytest.raises(ArtifactError, match="model.json: layer 1 has unknown activation 'relu'"):
         load_model(path)
 
 
