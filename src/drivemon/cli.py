@@ -20,7 +20,7 @@ from .derive import derive_stream
 from .errors import ArtifactError, DataError, PipelineError, get_field, read_json
 from .features import WindowSpec, feature_mask, feature_matrix, fit_scaler, MinMaxScaler
 from .net import TrainConfig, build_model, load_model, save_model, train
-from .telemetry import read_stream, write_stream
+from .telemetry import is_frame_aligned, read_stream, write_stream
 
 MODEL_FILE = "model.json"
 SCALER_FILE = "scaler.json"
@@ -206,9 +206,16 @@ def _load_artifacts(artifacts: Path):
     return model, scaler
 
 
-def cmd_calibrate(args, parser: argparse.ArgumentParser) -> int:
+def _check_scoring_flags(args, parser: argparse.ArgumentParser) -> None:
+    """Reject an out-of-range --percentile or --stride-s (exit 2) before any artifact loads."""
     if args.percentile is not None and not 0.0 < args.percentile < 100.0:
         parser.error("--percentile must be in (0, 100)")
+    if args.stride_s is not None and not (args.stride_s > 0 and is_frame_aligned(args.stride_s)):
+        parser.error("--stride-s must be a positive whole number of 0.125 s frames")
+
+
+def cmd_calibrate(args, parser: argparse.ArgumentParser) -> int:
+    _check_scoring_flags(args, parser)
     model, scaler = _load_artifacts(args.artifacts)
     spec = _window_spec(args, _load_pipeline(args.artifacts))
     X, start_t, sol = _features_from_csv(args.data, spec, model.variant)
@@ -222,6 +229,7 @@ def cmd_calibrate(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_detect(args, parser: argparse.ArgumentParser) -> int:
+    _check_scoring_flags(args, parser)
     model, scaler = _load_artifacts(args.artifacts)
     threshold = det.Threshold.load(args.artifacts / THRESHOLD_FILE)
     if args.percentile is not None and args.percentile != threshold.percentile:

@@ -147,10 +147,19 @@ def _stats_block(data: np.ndarray) -> np.ndarray:
     moment that is exactly zero).
     """
     x = np.swapaxes(data, 1, 2)  # (n, channels, frames)
+    # min, max and median from one sort; the sorted copy is freed before the
+    # moment temporaries are allocated, which keeps the peak memory down
+    s = np.sort(x, axis=-1)
+    h = x.shape[-1] // 2
+    mn = s[..., 0].copy()
+    mx = s[..., -1].copy()
+    med = s[..., h].copy() if x.shape[-1] % 2 else (s[..., h - 1] + s[..., h]) / 2
+    del s
+    nan = np.isnan(mx)  # a NaN sorts last; min and median propagate it, as max does
+    mn[nan] = med[nan] = mx[nan]
+    # the moments stay on the strided view: a contiguous copy would change the
+    # summation order of the mean
     mean = x.mean(axis=-1)
-    mn = x.min(axis=-1)
-    mx = x.max(axis=-1)
-    med = np.median(x, axis=-1)
     d = x - mean[..., None]
     m2 = np.mean(d * d, axis=-1)
     # m2 == 0 also catches underflowed deviations of denormal-scale columns

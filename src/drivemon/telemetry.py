@@ -11,7 +11,9 @@ mission day, constant or increasing within a file.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,6 +114,9 @@ class TelemetryStream:
 
 
 def _check_grid(t: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(t))
+    if len(bad):
+        raise DataError(f"non-finite timestamp at row {int(bad[0])}")
     if len(t) < 2:
         return
     dt = np.diff(t)
@@ -136,44 +141,71 @@ def _check_sol(sol: np.ndarray) -> None:
 def read_stream(path: str | Path) -> TelemetryStream:
     """Read a telemetry CSV into a validated stream.
 
-    Row indices in error messages are 0-based data rows (the header is not
-    counted). Raises SchemaError for header mismatches, DataError for
-    unparsable/non-finite cells or bad sol values, OrderingError for
-    non-monotone or off-grid timestamps.
+    The header is checked first; every later line is one data row of 30
+    comma-separated numbers (grammar in the README). Row indices in error
+    messages are 0-based data rows (the header is not counted). Raises
+    SchemaError for header mismatches, DataError for unparsable/non-finite
+    cells or bad sol values, OrderingError for non-monotone or off-grid
+    timestamps.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty, expected header") from None
-        _check_header(path, header)
-        t_list: list[float] = []
-        sol_list: list[int] = []
-        rows: list[list[float]] = []
-        for i, row in enumerate(reader):
-            if len(row) != len(CSV_HEADER):
-                raise DataError(
-                    f"{path}: row {i} has {len(row)} cells, expected {len(CSV_HEADER)}"
-                )
-            try:
-                cells = [float(c) for c in row]
-            except ValueError:
-                raise DataError(f"{path}: unparsable cell at row {i}") from None
-            sol_f = cells[1]
-            if sol_f != int(sol_f):
-                raise DataError(f"{path}: sol is not an integer at row {i}")
-            t_list.append(cells[0])
-            sol_list.append(int(sol_f))
-            rows.append(cells[2:])
-    if not rows:
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        body = fh.read()
+    if not head:
+        raise SchemaError(f"{path}: file is empty, expected header")
+    _check_header(path, next(csv.reader([head.decode("utf-8", errors="replace")])))
+    if not body:
         raise DataError(f"{path}: empty stream")
-    values = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(values).all():
-        bad = int(np.argwhere(~np.isfinite(values))[0, 0])
-        raise DataError(f"{path}: non-finite value at row {bad}")
-    return TelemetryStream(t=np.asarray(t_list), sol=np.asarray(sol_list), values=values)
+    n_rows = body.count(b"\n") + (not body.endswith(b"\n"))
+    try:
+        with warnings.catch_warnings():
+            # a body of blank lines parses to no rows; the shape check reports it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = _parse_rows(io.BytesIO(body))
+    except ValueError:
+        raise _row_fault(path, body) from None
+    # loadtxt skips blank lines, so a row count short of the line count is a fault
+    if table.shape != (n_rows, len(CSV_HEADER)):
+        raise _row_fault(path, body)
+    sol_f = table[:, 1]
+    bad = np.flatnonzero(~np.isfinite(sol_f) | (sol_f != np.floor(sol_f)))
+    if len(bad):
+        raise DataError(f"{path}: sol is not an integer at row {int(bad[0])}")
+    bad = np.flatnonzero(np.abs(sol_f) >= 2.0**63)
+    if len(bad):
+        raise DataError(f"{path}: sol does not fit in 64 bits at row {int(bad[0])}")
+    values = table[:, 2:]
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        raise DataError(f"{path}: non-finite value at row {int(bad[0])}")
+    return TelemetryStream(t=table[:, 0], sol=sol_f.astype(np.int64), values=values)
+
+
+def _parse_rows(source) -> np.ndarray:
+    """numpy's C reader over comma-separated lines of floats; ValueError on a bad cell."""
+    return np.loadtxt(source, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+
+
+def _row_fault(path: Path, body: bytes) -> DataError:
+    """The DataError naming the first data row of `body` that does not parse.
+
+    Diagnoses a failed table parse line by line with the same parser, so both
+    agree on the grammar; it never returns data.
+    """
+    lines = body.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    for i, line in enumerate(lines):
+        line = line.removesuffix(b"\r")
+        n_cells = line.count(b",") + 1 if line else 0
+        if n_cells != len(CSV_HEADER):
+            return DataError(f"{path}: row {i} has {n_cells} cells, expected {len(CSV_HEADER)}")
+        try:
+            _parse_rows([line])
+        except ValueError:
+            return DataError(f"{path}: unparsable cell at row {i}")
+    return DataError(f"{path}: unparsable table")
 
 
 def _check_header(path: Path, header: list[str]) -> None:
@@ -229,4 +261,4 @@ def uniform_time_axis(n_frames: int, t0: float = 0.0) -> np.ndarray:
 def is_frame_aligned(duration_s: float) -> bool:
     """True when duration_s is a whole number of 0.125 s frames."""
     frames = duration_s * SAMPLE_RATE_HZ
-    return math.isclose(frames, round(frames), abs_tol=1e-9)
+    return math.isfinite(frames) and math.isclose(frames, round(frames), abs_tol=1e-9)

@@ -175,3 +175,26 @@ def reference_train(weights, biases, activations, X, config):
         train_losses.append(sse / (n_train * d))
         val_losses.append(mse(forward(X_val)[-1], X_val))
     return weights, biases, train_losses, val_losses
+
+
+def reference_stats_block(data):
+    """The seven window statistics with np.min, np.max and np.median.
+
+    This is the reduction-per-statistic form the sort-based `_stats_block`
+    replaced; its arithmetic is kept here so the two can be compared bit for
+    bit. `data` is (n, frames, channels); returns (n, channels, 7).
+    """
+    x = np.swapaxes(data, 1, 2)
+    mean = x.mean(axis=-1)
+    mn = x.min(axis=-1)
+    mx = x.max(axis=-1)
+    med = np.median(x, axis=-1)
+    d = x - mean[..., None]
+    m2 = np.mean(d * d, axis=-1)
+    const = (mn == mx) | (m2 == 0.0)
+    std = np.where(const, 0.0, np.sqrt(m2))
+    z = d / np.where(const, 1.0, std)[..., None]
+    z3 = z * z * z
+    skew = np.where(const, 0.0, np.mean(z3, axis=-1))
+    kurt = np.where(const, 0.0, np.mean(z3 * z, axis=-1) - 3.0)
+    return np.stack([mean, std, kurt, skew, mn, mx, med], axis=-1)

@@ -356,3 +356,31 @@ def test_window_s_is_fixed_by_training(data_dir, trained_dir, command, flag, nam
     with pytest.raises(SystemExit) as exc:
         run(command, flag, data_dir / name, "--artifacts", trained_dir, "--window-s", 4)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["calibrate", "detect"])
+@pytest.mark.parametrize("flag,value", [
+    ("--percentile", 150), ("--percentile", 0), ("--percentile", "nan"),
+    ("--stride-s", 0.3), ("--stride-s", 0), ("--stride-s", "inf"), ("--stride-s", "nan"),
+])
+def test_scoring_flag_range_exits_2(tmp_path, data_dir, command, flag, value):
+    """An out-of-range flag is a usage error, found before any artifact is read."""
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--data", data_dir / "train.csv", "--artifacts", tmp_path / "absent",
+            flag, value)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cell,damaged", [
+    (1, b"nan"), (1, b"inf"), (1, b"-inf"), (0, b"nan"), (5, b"0.5\xff"),
+], ids=["sol-nan", "sol-inf", "sol-minus-inf", "t-nan", "non-utf8"])
+def test_detect_bad_telemetry_exits_3(tmp_path, data_dir, trained_dir, capsys, cell, damaged):
+    """A damaged cell in data row 2 exits 3 with a message naming the row."""
+    lines = (data_dir / "test.csv").read_bytes().split(b"\n")
+    cells = lines[3].split(b",")
+    cells[cell] = damaged
+    lines[3] = b",".join(cells)
+    path = tmp_path / "test.csv"
+    path.write_bytes(b"\n".join(lines))
+    assert run("detect", "--data", path, "--artifacts", trained_dir) == 3
+    assert "row 2" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from drivemon.derive import DerivedStream, derive_stream
 from drivemon.errors import ArtifactError, DataError
@@ -16,12 +17,13 @@ from drivemon.features import (
     feature_mask,
     feature_matrix,
     fit_scaler,
+    _stats_block,
     stats7,
     window_arrays,
 )
 
 from conftest import make_stream
-from oracles import stats7_oracle, window_count_oracle
+from oracles import reference_stats_block, stats7_oracle, window_count_oracle
 
 # frozen output of the brute-force oracle for samples 1..32
 STATS7_1_TO_32 = [16.5, 9.233092656309694, -1.2023460410557185, 0.0, 1.0, 32.0, 16.5]
@@ -175,6 +177,29 @@ def test_feature_matrix_matches_stats7_oracle():
                 for j in np.flatnonzero(mask.indices // 7 == ch):
                     stat = mask.indices[j] % 7
                     assert abs(X[i, j] - expected[stat]) <= 1e-10
+
+
+@pytest.mark.parametrize("frames", [31, 32])
+def test_stats_block_bitwise_matches_reference(frames):
+    """The one-sort min/max/median equals the np.min/np.max/np.median form bit for bit."""
+    rng = np.random.default_rng(frames)
+    n = 200
+    columns = [
+        rng.standard_normal(n),                              # all distinct
+        rng.integers(-2, 3, n) * 0.5,                        # heavy ties
+        np.full(n, 3.7),                                     # constant
+        rng.integers(1, 6, n) * 5e-324,                      # subnormal
+        rng.standard_normal(n) * 1e-310,                     # subnormal scale
+        rng.standard_normal(n) * 1e150,                      # huge
+        np.round(rng.standard_normal(n), 1) * 1e5 + 7.0,     # ties away from zero
+    ]
+    values = np.column_stack(columns)
+    values[[40, 41, 90], [0, 3, 5]] = [np.nan, np.inf, -np.inf]  # spoils a few windows
+    # the strided windows feature_matrix uses, and a contiguous copy of them
+    windows = np.swapaxes(sliding_window_view(values, frames, axis=0)[::8], 1, 2)
+    with np.errstate(invalid="ignore"):  # inf - inf in the spoiled windows' moments
+        for data in (windows, np.ascontiguousarray(windows)):
+            assert _stats_block(data).tobytes() == reference_stats_block(data).tobytes()
 
 
 def test_fit_scaler_examples():

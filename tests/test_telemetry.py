@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drivemon.errors import DataError, OrderingError, SchemaError
 from drivemon.telemetry import (
@@ -135,6 +136,112 @@ def test_nonfinite_cell_cites_row(tmp_path):
     _write_rows(path, rows)
     with pytest.raises(DataError, match="row 3"):
         read_stream(path)
+
+
+def _body(rows, eol="\n"):
+    return (",".join(CSV_HEADER) + eol + eol.join(rows) + eol).encode()
+
+
+_ROWS = [_row(i * 0.125) for i in range(4)]
+
+
+@pytest.mark.parametrize("body", [
+    _body(_ROWS, eol="\r\n"),
+    _body([r.replace(",", " , ") for r in _ROWS]),
+    _body([r.replace(",", "\t,") for r in _ROWS]),
+    _body(_ROWS)[:-1],
+], ids=["crlf", "spaces", "tabs", "no-final-newline"])
+def test_csv_grammar_accepts(tmp_path, body):
+    path = tmp_path / "s.csv"
+    path.write_bytes(body)
+    back = read_stream(path)
+    assert np.array_equal(back.t, [0.0, 0.125, 0.25, 0.375])
+    assert np.all(back.values == 0.5)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("", "row 2 has 0 cells"),
+    (_ROWS[2] + "#", "unparsable cell at row 2"),
+    (_ROWS[2].replace("0.5", '"0.5"', 1), "unparsable cell at row 2"),
+    (_ROWS[2].replace("0.5", "1_0", 1), "unparsable cell at row 2"),
+    (_ROWS[2] + ",0.5", "row 2 has 31 cells"),
+    (_ROWS[2].rsplit(",", 1)[0], "row 2 has 29 cells"),
+    (_ROWS[2].replace("0.5", "", 1), "unparsable cell at row 2"),
+    (_ROWS[2].replace("0.5", "inf", 1), "non-finite value at row 2"),
+    (_ROWS[2].replace("0.5", "0x1p-1", 1), "unparsable cell at row 2"),
+    (_ROWS[2].replace(",", "\r", 1), "row 2 has 29 cells"),
+], ids=["blank-line", "hash", "quoted", "underscore", "long-row", "short-row",
+        "empty-cell", "non-finite", "hex", "bare-cr"])
+def test_csv_grammar_rejects_naming_row(tmp_path, row, message):
+    """A bad third row is a DataError naming row 2, wherever it sits in the line."""
+    path = tmp_path / "s.csv"
+    _write_rows(path, _ROWS[:2] + [row] + _ROWS[2:])
+    with pytest.raises(DataError, match=message):
+        read_stream(path)
+
+
+def test_non_utf8_bytes(tmp_path):
+    path = tmp_path / "s.csv"
+    rows = [r.encode() for r in _ROWS]
+    rows[1] = rows[1].replace(b"0.5", b"0.5\xff", 1)
+    path.write_bytes(",".join(CSV_HEADER).encode() + b"\n" + b"\n".join(rows) + b"\n")
+    with pytest.raises(DataError, match="unparsable cell at row 1"):
+        read_stream(path)
+    path.write_bytes(b"t\xff" + _body(_ROWS)[1:])
+    with pytest.raises(SchemaError, match="missing column"):
+        read_stream(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300).map(lambda b: b.replace(b"\n", b" ")))
+def test_any_bytes_in_a_row_are_a_data_error(tmp_path_factory, junk):
+    """The row locator never raises anything but the DataError naming the row."""
+    path = tmp_path_factory.getbasetemp() / "junk.csv"
+    path.write_bytes(_body(_ROWS[:1]) + junk + b"\n" + _body(_ROWS[1:]).split(b"\n", 1)[1])
+    with pytest.raises(DataError, match="row 1"):
+        read_stream(path)
+
+
+@pytest.mark.parametrize("sol", ["nan", "inf", "-inf", "1000.5", "1e19"])
+def test_bad_sol_cites_row(tmp_path, sol):
+    path = tmp_path / "s.csv"
+    _write_rows(path, [_row(0.0), _row(0.125).replace("1000", sol, 1), _row(0.25)])
+    with pytest.raises(DataError, match="sol .* at row 1"):
+        read_stream(path)
+
+
+def test_non_finite_time_cites_row(tmp_path):
+    t = [0.0, 0.125, np.nan, 0.375]
+    with pytest.raises(DataError, match="non-finite timestamp at row 2"):
+        TelemetryStream(t=t, sol=np.full(4, 1000), values=np.zeros((4, len(SENSOR_CHANNELS))))
+    path = tmp_path / "s.csv"
+    _write_rows(path, [_row(x) for x in t])
+    with pytest.raises(DataError, match="non-finite timestamp at row 2"):
+        read_stream(path)
+
+
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+             1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.one_of(st.sampled_from(_EXTREMES),
+                                st.floats(allow_nan=False, allow_infinity=False)),
+                      min_size=len(SENSOR_CHANNELS), max_size=len(SENSOR_CHANNELS)),
+             min_size=1, max_size=6),
+    st.integers(min_value=-2**40, max_value=2**40),
+    st.integers(min_value=-2**53, max_value=2**53),
+)
+def test_write_read_roundtrip_is_bitwise(tmp_path_factory, rows, t0_frames, sol):
+    stream = TelemetryStream(t=uniform_time_axis(len(rows), t0=t0_frames * 0.125),
+                             sol=np.full(len(rows), sol), values=np.array(rows))
+    path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+    write_stream(stream, path)
+    back = read_stream(path)
+    for name in ("t", "sol", "values"):
+        a, b = getattr(stream, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_fractional_sol_rejected(tmp_path):
