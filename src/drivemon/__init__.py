@@ -34,6 +34,7 @@ from .net import (
     save_model,
     train,
 )
+from .pipeline import calibrate_pipeline, detect_pipeline, evaluate_metrics, fit_pipeline, load_bundle
 from .synth import AnomalyEvent, LabeledStream, NominalProfile, generate_nominal, inject, make_dataset
 from .telemetry import SENSOR_CHANNELS, WHEELS, TelemetryStream, read_stream, write_stream
 

@@ -33,24 +33,18 @@ class Threshold:
     value: float
     calibration_size: int
 
-    def to_json(self) -> dict:
-        return {"percentile": self.percentile, "value": self.value,
-                "n": self.calibration_size}
+    def save(self, path: str | Path) -> None:
+        doc = {"percentile": self.percentile, "value": self.value, "n": self.calibration_size}
+        Path(path).write_text(json.dumps(doc) + "\n")
 
     @classmethod
-    def from_json(cls, doc: dict, where: str = "threshold document") -> "Threshold":
+    def load(cls, path: str | Path) -> "Threshold":
+        doc, where = read_json(path), str(path)
         value = get_field(doc, "value", float, where)
         if not math.isfinite(value):
             raise ArtifactError(f"{where}: threshold value {value} is not finite")
         return cls(percentile=get_field(doc, "percentile", float, where), value=value,
                    calibration_size=get_field(doc, "n", int, where))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json()) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Threshold":
-        return cls.from_json(read_json(path), where=str(path))
 
 
 @dataclass(frozen=True)

@@ -236,16 +236,15 @@ class MinMaxScaler:
             out[..., self.constant_] = 0.0
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "min": self.min_.tolist(),
-            "max": self.max_.tolist(),
-            "constant": self.constant_features,
-        }
+    def save(self, path: str | Path) -> None:
+        doc = {"variant": self.variant, "min": self.min_.tolist(), "max": self.max_.tolist(),
+               "constant": self.constant_features}
+        Path(path).write_text(json.dumps(doc) + "\n")
 
     @classmethod
-    def from_json(cls, doc: dict, where: str = "scaler document") -> "MinMaxScaler":
+    def load(cls, path: str | Path) -> "MinMaxScaler":
+        doc, where = read_json(path), str(path)
+
         def floats(v):
             return np.asarray(v, dtype=np.float64)
 
@@ -255,13 +254,6 @@ class MinMaxScaler:
                        get_field(doc, "max", floats, where))
         except DataError as exc:
             raise ArtifactError(f"{where}: {exc}") from exc
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json()) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "MinMaxScaler":
-        return cls.from_json(read_json(path), where=str(path))
 
 
 def fit_scaler(X: np.ndarray, variant: str | None = None) -> MinMaxScaler:

@@ -18,7 +18,7 @@ import base64
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -332,20 +332,7 @@ class TrainConfig:
             raise DataError("batch_size must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "rng_seed": self.rng_seed,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "validation_fraction": self.validation_fraction,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TrainConfig":
-        return cls(**doc)
+        return asdict(self)
 
 
 @dataclass
@@ -464,8 +451,8 @@ def save_model(model: AutoencoderModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
-def load_model(path: str | Path, expect_variant: str | None = None) -> AutoencoderModel:
-    """Load a persisted model, validating structure and (optionally) variant."""
+def load_model(path: str | Path) -> AutoencoderModel:
+    """Load a persisted model, validating its structure and parameters."""
     doc = read_json(path)
     where = str(path)
     if isinstance(doc, dict) and "weights" in doc and "params" not in doc:
@@ -489,10 +476,6 @@ def load_model(path: str | Path, expect_variant: str | None = None) -> Autoencod
     for l, (W, b) in enumerate(zip(weights, biases)):
         if not (np.isfinite(W).all() and np.isfinite(b).all()):
             raise ArtifactError(f"{path}: layer {l} has non-finite weights or biases")
-    if expect_variant is not None and variant != expect_variant:
-        raise ArtifactError(
-            f"{path}: model variant is {variant!r}, expected {expect_variant!r}"
-        )
     return AutoencoderModel(
         variant=variant, dims=dims, activations=activations, weights=weights,
         biases=biases, seed=doc.get("seed"), train_config=doc.get("train_config"),

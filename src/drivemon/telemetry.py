@@ -76,21 +76,32 @@ class TelemetryStream:
 
     def __post_init__(self):
         t = np.array(self.t, dtype=np.float64)
-        sol = np.array(self.sol, dtype=np.int64)
+        sol = np.asarray(self.sol)
         values = np.array(self.values, dtype=np.float64)
         if t.ndim != 1 or sol.shape != t.shape:
             raise DataError("t and sol must be 1-D arrays of equal length")
+        if sol.dtype.kind != "i":  # a float sol must hold whole numbers that fit in 64 bits
+            sol = sol.astype(np.float64)
+            bad = np.flatnonzero(~np.isfinite(sol) | (sol != np.floor(sol)))
+            if len(bad):
+                raise DataError(f"sol is not an integer at row {int(bad[0])}")
+            bad = np.flatnonzero(np.abs(sol) >= 2.0**63)
+            if len(bad):
+                raise DataError(f"sol does not fit in 64 bits at row {int(bad[0])}")
+        sol = sol.astype(np.int64)
         if values.shape != (len(t), len(SENSOR_CHANNELS)):
             raise DataError(
                 f"values must have shape (n, {len(SENSOR_CHANNELS)}); got {values.shape}"
             )
         if len(t) == 0:
             raise DataError("empty stream")
-        _check_grid(t)
-        _check_sol(sol)
         if not np.isfinite(values).all():
             bad = int(np.argwhere(~np.isfinite(values))[0, 0])
             raise DataError(f"non-finite value at row {bad}")
+        _check_grid(t)
+        dec = np.flatnonzero(np.diff(sol) < 0)
+        if len(dec):
+            raise DataError(f"sol decreases at row {int(dec[0]) + 1}")
         for arr, name in ((t, "t"), (sol, "sol"), (values, "values")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -130,14 +141,6 @@ def _check_grid(t: np.ndarray) -> None:
         )
 
 
-def _check_sol(sol: np.ndarray) -> None:
-    if len(sol) < 2:
-        return
-    dec = np.where(np.diff(sol) < 0)[0]
-    if len(dec):
-        raise DataError(f"sol decreases at row {int(dec[0]) + 1}")
-
-
 def read_stream(path: str | Path) -> TelemetryStream:
     """Read a telemetry CSV into a validated stream.
 
@@ -168,18 +171,10 @@ def read_stream(path: str | Path) -> TelemetryStream:
     # loadtxt skips blank lines, so a row count short of the line count is a fault
     if table.shape != (n_rows, len(CSV_HEADER)):
         raise _row_fault(path, body)
-    sol_f = table[:, 1]
-    bad = np.flatnonzero(~np.isfinite(sol_f) | (sol_f != np.floor(sol_f)))
-    if len(bad):
-        raise DataError(f"{path}: sol is not an integer at row {int(bad[0])}")
-    bad = np.flatnonzero(np.abs(sol_f) >= 2.0**63)
-    if len(bad):
-        raise DataError(f"{path}: sol does not fit in 64 bits at row {int(bad[0])}")
-    values = table[:, 2:]
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if len(bad):
-        raise DataError(f"{path}: non-finite value at row {int(bad[0])}")
-    return TelemetryStream(t=table[:, 0], sol=sol_f.astype(np.int64), values=values)
+    try:
+        return TelemetryStream(t=table[:, 0], sol=table[:, 1], values=table[:, 2:])
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _parse_rows(source) -> np.ndarray:

@@ -8,6 +8,7 @@ from drivemon.cli import main
 from drivemon.detect import Threshold, read_scores_csv
 from drivemon.features import MinMaxScaler, fit_scaler
 from drivemon.net import AutoencoderModel, load_model, save_model
+from drivemon.telemetry import CSV_HEADER
 
 
 def run(*args):
@@ -238,9 +239,11 @@ def test_evaluate_missing_inputs(tmp_path):
 def test_config_file_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("train_s=120\ntest_s=80\nevents=none\nseed=5\n")
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    out1, out2, out3 = tmp_path / "o1", tmp_path / "o2", tmp_path / "o3"
     assert run("generate", "--config", cfg, "--out", out1) == 0
     assert len(json.loads((out1 / "labels.json").read_text())) == 0
+    assert run("generate", f"--config={cfg}", "--out", out3) == 0
+    assert (out3 / "test.csv").read_bytes() == (out1 / "test.csv").read_bytes()
     # explicit flag overrides the config value
     assert run("generate", "--config", cfg, "--out", out2, "--events", "mixed2") == 0
     assert len(json.loads((out2 / "labels.json").read_text())) == 2
@@ -384,3 +387,22 @@ def test_detect_bad_telemetry_exits_3(tmp_path, data_dir, trained_dir, capsys, c
     path.write_bytes(b"\n".join(lines))
     assert run("detect", "--data", path, "--artifacts", trained_dir) == 3
     assert "row 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "calibrate", "detect"])
+def test_overflowing_telemetry_exits_3(tmp_path, data_dir, trained_dir, capsys, command):
+    """Telemetry so large that the derived power overflows is a data error naming the
+    file, the first bad window and the feature, with no numpy warning."""
+    name = "test.csv" if command == "detect" else "train.csv"
+    lines = (data_dir / name).read_text().split("\n")
+    cells = lines[100].split(",")  # data row 99, in windows 9 to 12
+    for column in ("current_LF", "voltage_LF"):
+        cells[CSV_HEADER.index(column)] = "1e200"
+    lines[100] = ",".join(cells)
+    path = tmp_path / name
+    path.write_text("\n".join(lines))
+    art = tmp_path / "art" if command == "train" else trained_dir
+    assert run(command, "--data", path, "--artifacts", art) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: window 9 " in err and "non-finite std(C[LF])" in err
+    assert "Warning" not in err

@@ -440,12 +440,3 @@ def test_load_rejects_unknown_activation(tmp_path):
     _rewrite(path, activations=["linear", "relu", "linear", "sigmoid", "linear"])
     with pytest.raises(ArtifactError, match="model.json: layer 1 has unknown activation 'relu'"):
         load_model(path)
-
-
-def test_load_variant_mismatch(tmp_path):
-    model = build_model("prime", seed=0)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    assert load_model(path, expect_variant="prime").variant == "prime"
-    with pytest.raises(ArtifactError, match="variant"):
-        load_model(path, expect_variant="refined")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,7 +111,9 @@ def test_decreasing_time_cites_row(tmp_path):
     path = tmp_path / "s.csv"
     ts = [0.0, 0.125, 0.25, 0.375, 0.5, 0.375, 0.75]
     _write_rows(path, [_row(t) for t in ts])
-    with pytest.raises(OrderingError, match="row 5"):
+    # the stream's own error, with the file named in front
+    with pytest.raises(OrderingError,
+                       match=re.escape(f"{path}: time not strictly increasing at row 5")):
         read_stream(path)
 
 
@@ -208,6 +212,15 @@ def test_bad_sol_cites_row(tmp_path, sol):
     _write_rows(path, [_row(0.0), _row(0.125).replace("1000", sol, 1), _row(0.25)])
     with pytest.raises(DataError, match="sol .* at row 1"):
         read_stream(path)
+
+
+@pytest.mark.parametrize("sol", [[1000.5, 1000.9], [1000.0, 1000.5], [1000.0, np.nan]],
+                         ids=["fractional-first", "fractional", "nan"])
+def test_stream_rejects_non_integral_sol(sol):
+    """A float sol is checked before the int64 cast, which would truncate it."""
+    row = 0 if sol[0] % 1 else 1
+    with pytest.raises(DataError, match=f"sol is not an integer at row {row}"):
+        TelemetryStream(t=[0.0, 0.125], sol=sol, values=np.zeros((2, len(SENSOR_CHANNELS))))
 
 
 def test_non_finite_time_cites_row(tmp_path):
