@@ -31,6 +31,7 @@ from .net import (
     load_model,
     mse_loss,
     new_model,
+    reconstruct,
     save_model,
     train,
 )

@@ -119,9 +119,14 @@ def cmd_generate(args, parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_train(args, parser: argparse.ArgumentParser) -> None:
-    config = TrainConfig(rng_seed=args.seed, epochs=args.epochs, batch_size=args.batch_size,
-                         learning_rate=args.learning_rate, validation_fraction=args.val_fraction)
-    spec = WindowSpec(window_s=args.window_s, stride_s=args.stride_s)
+    # an out-of-range flag is a usage error (exit 2), found before any data is read
+    try:
+        config = TrainConfig(rng_seed=args.seed, epochs=args.epochs,
+                             batch_size=args.batch_size, learning_rate=args.learning_rate,
+                             validation_fraction=args.val_fraction)
+        spec = WindowSpec(window_s=args.window_s, stride_s=args.stride_s)
+    except DataError as exc:
+        parser.error(str(exc))
     report, n_windows = pipeline.fit_pipeline(args.data, args.artifacts, args.variant, config, spec)
     print(f"trained {args.variant} on {n_windows} windows: "
           f"train loss {report.final_train_loss:.3e}, "

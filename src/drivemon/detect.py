@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArtifactError, DataError, get_field, read_json
 from .features import MinMaxScaler, feature_mask
-from .net import AutoencoderModel, forward
+from .net import AutoencoderModel, reconstruct
 
 #: Contributors below this fraction of the total score are not reported.
 CONTRIBUTOR_FLOOR = 0.10
@@ -67,8 +67,9 @@ def score_matrix(
             f"model variant {model.variant!r} does not match scaler {scaler.variant!r}"
         )
     Xs = scaler.transform(np.atleast_2d(X))
-    X_hat, _ = forward(model, Xs)
-    E = Xs - X_hat
+    # the residual overwrites the reconstruction, so no third (n, d) array is made
+    X_hat = reconstruct(model, Xs)
+    E = np.subtract(Xs, X_hat, out=X_hat)
     scores = np.sum(np.abs(E), axis=1)
     bad = np.flatnonzero(~np.isfinite(scores))
     if len(bad):

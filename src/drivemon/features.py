@@ -9,7 +9,6 @@ leaving 301. Feature order is fixed: index = channel_index * 7 + stat_index.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +29,10 @@ REFINED_EXCLUDED_CHANNELS = ("accel_X", "accel_Y", "accel_Z")
 
 N_PRIME_FEATURES = len(DERIVED_CHANNELS) * len(STATS)  # 322
 N_REFINED_FEATURES = N_PRIME_FEATURES - len(REFINED_EXCLUDED_CHANNELS) * len(STATS)  # 301
+
+#: Windows per _stats_block call in feature_matrix. Its temporaries are sized
+#: for one block, not for the drive, and each window's arithmetic is the same.
+STATS_BLOCK_WINDOWS = 64
 
 
 @dataclass(frozen=True)
@@ -122,10 +125,6 @@ def window_arrays(
     w, s = spec.window_frames, spec.stride_frames
     n = len(stream)
     if n < w:
-        warnings.warn(
-            f"stream of {n} frames is shorter than one {w}-frame window; no windows produced",
-            stacklevel=2,
-        )
         return (
             np.empty((0, w, stream.values.shape[1])),
             np.empty(0),
@@ -185,17 +184,18 @@ def stats7(samples) -> np.ndarray:
 def feature_matrix(
     stream: DerivedStream, spec: WindowSpec, mask: FeatureMask
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Featurize every window of a stream at once.
+    """Featurize every window of a stream, STATS_BLOCK_WINDOWS windows at a time.
 
     Returns (X, start_t, sol) with X of shape (n_windows, len(mask)); row i
     holds the masked statistics of the window starting at start_t[i].
     """
     data, start_t, sol = window_arrays(stream, spec)
-    if data.shape[0] == 0:
-        return np.empty((0, len(mask))), start_t, sol
-    block = _stats_block(data)
-    flat = block.reshape(block.shape[0], -1)
-    return flat[:, mask.indices], start_t, sol
+    X = np.empty((data.shape[0], len(mask)))
+    for lo in range(0, data.shape[0], STATS_BLOCK_WINDOWS):
+        # slices of the strided view, never a copy, so each window's sums keep their order
+        block = _stats_block(data[lo:lo + STATS_BLOCK_WINDOWS])
+        X[lo:lo + len(block)] = block.reshape(len(block), -1)[:, mask.indices]
+    return X, start_t, sol
 
 
 class MinMaxScaler:
@@ -211,6 +211,10 @@ class MinMaxScaler:
         max_ = np.asarray(max_, dtype=np.float64)
         if min_.shape != max_.shape or min_.ndim != 1:
             raise DataError("scaler min/max must be 1-D arrays of equal length")
+        for name, values in (("min", min_), ("max", max_)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                raise DataError(f"scaler {name} is not finite at feature {int(bad[0])}")
         if np.any(max_ < min_):
             raise DataError("scaler max must be >= min per feature")
         self.variant = variant

@@ -163,6 +163,30 @@ class ForwardCache:
     activations: list[np.ndarray]  # activations[0] is the input
 
 
+def _layer(model: AutoencoderModel, l: int, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Layer l on activations a, written into out: act(a @ W_l.T + b_l).
+
+    forward and reconstruct both run this, so their outputs agree bit for bit.
+    """
+    np.matmul(a, model.weights[l].T, out=out)
+    out += model.biases[l]
+    act = model.activations[l]
+    if act == "sigmoid":
+        sigmoid(out, out=out)
+    elif act != "linear":
+        raise DataError(f"unknown activation {act!r}")
+    return out
+
+
+def _input_rows(model: AutoencoderModel, x) -> tuple[np.ndarray, bool]:
+    """(x as an (n, d) float64 batch, whether x was a single (d,) vector)."""
+    x = np.asarray(x, dtype=np.float64)
+    X = np.atleast_2d(x)
+    if X.shape[1] != model.input_dim:
+        raise DataError(f"expected input dim {model.input_dim}, got {X.shape[1]}")
+    return X, x.ndim == 1
+
+
 def forward(
     model: AutoencoderModel, x, cache: ForwardCache | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
@@ -172,29 +196,29 @@ def forward(
     its activation buffers: they, and the output returned before, are
     overwritten.
     """
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[1] != model.input_dim:
-        raise DataError(f"expected input dim {model.input_dim}, got {X.shape[1]}")
+    X, squeeze = _input_rows(model, x)
     if cache is None:
         cache = ForwardCache(x=X, activations=[X] + [np.empty((len(X), d))
                                                      for d in model.dims[1:]])
     elif cache.x.shape != X.shape:
         raise DataError(f"cache holds {cache.x.shape} inputs, got {X.shape}")
     cache.x = cache.activations[0] = X
-    a = X
-    for W, b, act, z in zip(model.weights, model.biases, model.activations,
-                            cache.activations[1:]):
-        np.matmul(a, W.T, out=z)
-        z += b
-        if act == "sigmoid":
-            sigmoid(z, out=z)
-        elif act != "linear":
-            raise DataError(f"unknown activation {act!r}")
-        a = z
-    out = a[0] if squeeze else a
-    return out, cache
+    for l in range(model.n_layers):
+        _layer(model, l, cache.activations[l], cache.activations[l + 1])
+    out = cache.activations[-1]
+    return (out[0] if squeeze else out), cache
+
+
+def reconstruct(model: AutoencoderModel, x) -> np.ndarray:
+    """The network's output alone, bit for bit forward's; (d,) or (n, d) like x.
+
+    Each layer's activations are dropped once the next layer is computed, so
+    at most two layers are held at a time.
+    """
+    a, squeeze = _input_rows(model, x)
+    for l, width in enumerate(model.dims[1:]):
+        a = _layer(model, l, a, np.empty((len(a), width)))
+    return a[0] if squeeze else a
 
 
 def encode(model: AutoencoderModel, x) -> np.ndarray:

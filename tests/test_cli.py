@@ -374,6 +374,36 @@ def test_scoring_flag_range_exits_2(tmp_path, data_dir, command, flag, value):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--epochs", 0), ("--batch-size", 0), ("--val-fraction", 0), ("--val-fraction", 1),
+    ("--window-s", 0.3), ("--stride-s", 0.3),
+], ids=["epochs-0", "batch-size-0", "val-fraction-0", "val-fraction-1", "window-s-off-grid",
+        "stride-s-off-grid"])
+def test_train_flag_range_exits_2(tmp_path, capsys, flag, value):
+    """An out-of-range training flag is a usage error, found before the data is read."""
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--data", tmp_path / "absent.csv", "--artifacts", tmp_path / "art",
+            flag, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "absent.csv" not in err
+    assert not (tmp_path / "art").exists()
+
+
+def test_detect_non_finite_scaler_exits_4(tmp_path, data_dir, trained_dir, capsys):
+    """A scaler.json whose min is all NaN is refused at load, naming the file and field."""
+    art = tmp_path / "art"
+    art.mkdir()
+    for kept in ("model.json", "threshold.json", "pipeline.json"):
+        (art / kept).write_bytes((trained_dir / kept).read_bytes())
+    doc = json.loads((trained_dir / "scaler.json").read_text())
+    doc["min"] = [float("nan")] * len(doc["min"])
+    (art / "scaler.json").write_text(json.dumps(doc))
+    assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art) == 4
+    err = capsys.readouterr().err
+    assert "scaler.json" in err and "min is not finite" in err
+
+
 @pytest.mark.parametrize("cell,damaged", [
     (1, b"nan"), (1, b"inf"), (1, b"-inf"), (0, b"nan"), (5, b"0.5\xff"),
 ], ids=["sol-nan", "sol-inf", "sol-minus-inf", "t-nan", "non-utf8"])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from drivemon.detect import (
 )
 from drivemon.errors import ArtifactError, DataError
 from drivemon.features import MinMaxScaler, feature_mask
-from drivemon.net import AutoencoderModel
+from drivemon.net import AutoencoderModel, build_model, forward
 
 import numpy.testing as npt
 
@@ -89,6 +90,37 @@ def test_score_matrix_rejects_non_finite_scores():
     X[1, 1] = 10.0  # only window 1 overflows to an infinite reconstruction
     with np.errstate(over="ignore"), pytest.raises(ArtifactError, match="window 1"):
         score_matrix(model, unit_scaler(4), X)
+
+
+def prime_rows(n, seed=0):
+    """A prime model, a scaler with non-trivial spans and n raw feature rows."""
+    rng = np.random.default_rng(seed)
+    lo = rng.standard_normal(322)
+    scaler = MinMaxScaler("prime", lo, lo + rng.random(322) * 3.0)
+    return build_model("prime", seed=3), scaler, rng.standard_normal((n, 322)) * 2.0
+
+
+@pytest.mark.parametrize("n", [1, 257, 2000])
+def test_score_matrix_bitwise_matches_forward(n):
+    """Layer-streamed scoring gives forward's residuals and 1-norms bit for bit."""
+    model, scaler, X = prime_rows(n, seed=n)
+    Xs = scaler.transform(X)
+    E_ref = Xs - forward(model, Xs)[0]
+    scores, E = score_matrix(model, scaler, X)
+    assert E.tobytes() == E_ref.tobytes()
+    assert scores.tobytes() == np.sum(np.abs(E_ref), axis=1).tobytes()
+
+
+def test_score_matrix_memory_is_bounded_by_two_layers():
+    """Scoring never holds every layer's activations: the peak stays under 4x the residuals."""
+    model, scaler, X = prime_rows(2000)
+    tracemalloc.start()
+    try:
+        _, E = score_matrix(model, scaler, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * E.nbytes, f"peak {peak / 1e6:.1f} MB for {E.nbytes / 1e6:.1f} MB residuals"
 
 
 @pytest.mark.parametrize("n,p", [(1000, 99.9), (1000, 50.0), (4037, 99.9),

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from drivemon.features import (
     N_PRIME_FEATURES,
     N_REFINED_FEATURES,
     STATS,
+    STATS_BLOCK_WINDOWS,
     FeatureId,
     MinMaxScaler,
     WindowSpec,
@@ -46,10 +49,8 @@ def test_window_spec_geometry():
 @pytest.mark.parametrize("n,expected", [(32, 1), (40, 2), (31, 0), (39, 1), (48, 3)])
 def test_window_counts(n, expected):
     stream = derived(n)
-    if expected == 0:
-        with pytest.warns(UserWarning):
-            data, start_t, sol = window_arrays(stream)
-    else:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a short drive is the caller's error to report
         data, start_t, sol = window_arrays(stream)
     assert data.shape == (expected, 32, 46)
     assert len(start_t) == len(sol) == expected
@@ -179,12 +180,9 @@ def test_feature_matrix_matches_stats7_oracle():
                     assert abs(X[i, j] - expected[stat]) <= 1e-10
 
 
-@pytest.mark.parametrize("frames", [31, 32])
-def test_stats_block_bitwise_matches_reference(frames):
-    """The one-sort min/max/median equals the np.min/np.max/np.median form bit for bit."""
-    rng = np.random.default_rng(frames)
-    n = 200
-    columns = [
+def awkward_columns(rng, n):
+    """Seven columns of n samples that stress the window statistics' rounding."""
+    return [
         rng.standard_normal(n),                              # all distinct
         rng.integers(-2, 3, n) * 0.5,                        # heavy ties
         np.full(n, 3.7),                                     # constant
@@ -193,13 +191,73 @@ def test_stats_block_bitwise_matches_reference(frames):
         rng.standard_normal(n) * 1e150,                      # huge
         np.round(rng.standard_normal(n), 1) * 1e5 + 7.0,     # ties away from zero
     ]
-    values = np.column_stack(columns)
+
+
+@pytest.mark.parametrize("frames", [31, 32])
+def test_stats_block_bitwise_matches_reference(frames):
+    """The one-sort min/max/median equals the np.min/np.max/np.median form bit for bit."""
+    rng = np.random.default_rng(frames)
+    values = np.column_stack(awkward_columns(rng, 200))
     values[[40, 41, 90], [0, 3, 5]] = [np.nan, np.inf, -np.inf]  # spoils a few windows
     # the strided windows feature_matrix uses, and a contiguous copy of them
     windows = np.swapaxes(sliding_window_view(values, frames, axis=0)[::8], 1, 2)
     with np.errstate(invalid="ignore"):  # inf - inf in the spoiled windows' moments
         for data in (windows, np.ascontiguousarray(windows)):
             assert _stats_block(data).tobytes() == reference_stats_block(data).tobytes()
+
+
+def _edge_values(frames, seed):
+    """46 channels of awkward columns, with NaNs on the first block edge and one inf."""
+    rng = np.random.default_rng(seed)
+    values = np.column_stack([c for _ in range(7) for c in awkward_columns(rng, frames)][:46])
+    # frame 504 is in windows 60-63, the end of the first block; frame 543 in 64-67
+    for frame, ch in ((504, 0), (543, 5), (543, 8)):
+        if frame < frames:
+            values[frame, ch] = np.nan
+    if frames > 40:
+        values[40, 3] = np.inf
+    return values
+
+
+@pytest.mark.parametrize("n_windows", [1, 63, 64, 65, 129])
+def test_feature_matrix_blocks_bitwise_match_reference(n_windows):
+    """Blocked feature_matrix equals the whole-drive reference bit for bit, block edges too."""
+    assert STATS_BLOCK_WINDOWS == 64
+    spec = WindowSpec()
+    frames = spec.stride_frames * (n_windows - 1) + spec.window_frames
+    values = _edge_values(frames, seed=n_windows)
+    stream = DerivedStream(t=np.arange(frames) / 8.0, sol=np.full(frames, 1000, np.int64),
+                           values=values)
+    windows = np.swapaxes(sliding_window_view(values, 32, axis=0)[::8], 1, 2)
+    with np.errstate(invalid="ignore"):  # inf - inf in the spoiled windows' moments
+        full = reference_stats_block(windows).reshape(n_windows, -1)
+        for variant in ("prime", "refined"):
+            mask = feature_mask(variant)
+            X, start_t, _ = feature_matrix(stream, spec, mask)
+            assert X.tobytes() == np.ascontiguousarray(full[:, mask.indices]).tobytes()
+    assert len(start_t) == n_windows
+    if n_windows > 64:
+        assert np.isnan(X[63, 0]) and np.isnan(X[64, 5 * 7])
+
+
+def test_feature_matrix_memory_is_bounded_by_a_block():
+    """Temporaries are sized for one block: the peak stays under 3x the result."""
+    stream = derived(8 * 1999 + 32, seed=9)  # 2 000 windows
+    tracemalloc.start()
+    try:
+        X, _, _ = feature_matrix(stream, WindowSpec(), feature_mask("prime"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (2000, 322)
+    assert peak < 3 * X.nbytes, f"peak {peak / 1e6:.1f} MB for a {X.nbytes / 1e6:.1f} MB result"
+
+
+def test_scaler_rejects_non_finite_bounds():
+    with pytest.raises(DataError, match="scaler min is not finite at feature 1"):
+        MinMaxScaler("custom", np.array([0.0, np.nan]), np.array([1.0, 1.0]))
+    with pytest.raises(DataError, match="scaler max is not finite at feature 0"):
+        MinMaxScaler("custom", np.array([0.0, 0.0]), np.array([np.inf, 1.0]))
 
 
 def test_fit_scaler_examples():

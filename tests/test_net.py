@@ -18,6 +18,7 @@ from drivemon.net import (
     load_model,
     mse_loss,
     new_model,
+    reconstruct,
     save_model,
     sigmoid,
     train,
@@ -158,6 +159,17 @@ def test_forward_reuses_cache_buffers():
     assert [a.ctypes.data for a in again.activations[1:]] == buffers
     with pytest.raises(DataError, match="cache"):
         forward(model, X2[:4], cache)
+
+
+def test_reconstruct_bitwise_matches_forward():
+    model = build_model("refined", seed=2)
+    rng = np.random.default_rng(2)
+    X = rng.random((33, 301))
+    out = reconstruct(model, X)
+    assert out.tobytes() == forward(model, X)[0].tobytes()
+    assert reconstruct(model, X[0]).tobytes() == forward(model, X[0])[0].tobytes()
+    with pytest.raises(DataError):
+        reconstruct(model, np.zeros(322))
 
 
 def test_encode_hits_bottleneck():
