@@ -89,8 +89,6 @@ class DerivedStream:
     sol: np.ndarray
     values: np.ndarray  # (n, 46) in DERIVED_CHANNELS order
 
-    sample_rate_hz = TelemetryStream.sample_rate_hz
-
     def __post_init__(self):
         if self.values.shape != (len(self.t), N_DERIVED):
             raise DataError(

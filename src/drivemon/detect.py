@@ -43,8 +43,14 @@ class Threshold:
         value = get_field(doc, "value", float, where)
         if not math.isfinite(value):
             raise ArtifactError(f"{where}: threshold value {value} is not finite")
-        return cls(percentile=get_field(doc, "percentile", float, where), value=value,
-                   calibration_size=get_field(doc, "n", int, where))
+        percentile = get_field(doc, "percentile", float, where)
+        if not 0.0 < percentile < 100.0:
+            raise ArtifactError(f"{where}: field 'percentile' is {percentile}, "
+                                "outside (0, 100)")
+        n = get_field(doc, "n", int, where)
+        if n < 1:
+            raise ArtifactError(f"{where}: field 'n' is {n}, below 1")
+        return cls(percentile=percentile, value=value, calibration_size=n)
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,9 @@ def calibrate(scores, percentile: float = 99.9) -> Threshold:
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1 or len(arr) == 0:
         raise DataError("calibration requires a non-empty 1-D score collection")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if len(bad):
+        raise DataError(f"calibration score {int(bad[0])} is {arr[bad[0]]}, not finite")
     if percentile >= 99.0 and len(arr) < 100:
         raise DataError(
             f"calibration at percentile {percentile} requires >= 100 scores; got {len(arr)}"
@@ -220,7 +229,15 @@ def write_scores_csv(path: str | Path, scores: np.ndarray, start_t, sol) -> None
             fh.write(f"{int(sol[i])},{repr(float(start_t[i]))},{repr(float(scores[i]))}\n")
 
 
+def _finite_float(v) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"{v!r} is not finite")
+    return x
+
+
 def read_scores_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scores, start_t, sol) of a scores CSV; errors number the data rows from 0."""
     sols, starts, vals = [], [], []
     with open(Path(path), newline="") as fh:
         reader = csv.reader(fh)
@@ -231,6 +248,6 @@ def read_scores_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
             cells = dict(zip(header, row))
             where = f"{path}: row {i}"
             sols.append(get_field(cells, "sol", int, where))
-            starts.append(get_field(cells, "start_t", float, where))
-            vals.append(get_field(cells, "score", float, where))
+            starts.append(get_field(cells, "start_t", _finite_float, where))
+            vals.append(get_field(cells, "score", _finite_float, where))
     return np.asarray(vals), np.asarray(starts), np.asarray(sols, dtype=np.int64)

@@ -41,7 +41,6 @@ class WindowSpec:
 
     window_s: float = 4.0
     stride_s: float = 1.0
-    sample_rate_hz: float = SAMPLE_RATE_HZ
 
     def __post_init__(self):
         if not is_frame_aligned(self.window_s) or not is_frame_aligned(self.stride_s):
@@ -53,11 +52,11 @@ class WindowSpec:
 
     @property
     def window_frames(self) -> int:
-        return round(self.window_s * self.sample_rate_hz)
+        return round(self.window_s * SAMPLE_RATE_HZ)
 
     @property
     def stride_frames(self) -> int:
-        return round(self.stride_s * self.sample_rate_hz)
+        return round(self.stride_s * SAMPLE_RATE_HZ)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -75,34 +74,37 @@ def _param_count(dims) -> int:
 
 @dataclass
 class AutoencoderModel:
-    """Dense autoencoder weights plus the metadata needed to persist it.
+    """Dense autoencoder parameters plus the metadata needed to persist it.
 
-    The given weights and biases are copied into ``params``; afterwards
-    ``weights`` and ``biases`` are tuples of views into it, so writing to an
-    array in place writes to the model.
+    ``params`` is the model: ``weights`` and ``biases`` are tuples of views
+    into it, so writing to one of those arrays in place writes to the model.
     """
 
     variant: str
     dims: tuple[int, ...]           # (input, out_1, ..., out_L)
     activations: tuple[str, ...]
-    weights: tuple[np.ndarray, ...]  # W_l is (out_l, in_l)
-    biases: tuple[np.ndarray, ...]
+    params: np.ndarray = field(repr=False)
     seed: int | None = None
     train_config: dict | None = None
-    params: np.ndarray = field(init=False, repr=False)
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)  # W_l is (out_l, in_l)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.params = np.empty(_param_count(self.dims))
+        self.dims, self.activations = tuple(self.dims), tuple(self.activations)
+        if len(self.dims) < 2 or min(self.dims) < 1 or len(self.activations) != len(self.dims) - 1:
+            raise DataError(f"dims {list(self.dims)} and {len(self.activations)} "
+                            "activations are inconsistent")
+        for l, act in enumerate(self.activations):
+            if act not in ACTIVATIONS:
+                raise DataError(f"layer {l} has unknown activation {act!r}; "
+                                f"expected one of {', '.join(ACTIVATIONS)}")
+        count = _param_count(self.dims)
+        p = self.params
+        if not (isinstance(p, np.ndarray) and p.dtype == np.float64 and p.shape == (count,)):
+            raise DataError(f"params is {getattr(p, 'dtype', type(p).__name__)} of shape "
+                            f"{np.shape(p)}, but dims {list(self.dims)} need float64 "
+                            f"of shape ({count},)")
         weights, biases = _layer_views(self.params, self.dims)
-        if len(self.weights) != len(weights) or len(self.biases) != len(biases):
-            raise DataError(f"dims {self.dims} need {len(weights)} weight and bias arrays")
-        for l, (W, b, W_in, b_in) in enumerate(zip(weights, biases, self.weights, self.biases)):
-            W_in, b_in = np.asarray(W_in, dtype=np.float64), np.asarray(b_in, dtype=np.float64)
-            if W_in.shape != W.shape or b_in.shape != b.shape:
-                raise DataError(f"layer {l} has shapes {W_in.shape} and {b_in.shape}, "
-                                f"expected {W.shape} and {b.shape}")
-            W[...] = W_in
-            b[...] = b_in
         self.weights, self.biases = tuple(weights), tuple(biases)
 
     @property
@@ -126,22 +128,14 @@ def new_model(
 ) -> AutoencoderModel:
     """Glorot-uniform weights, zero biases, from a seeded generator."""
     dims = tuple(int(d) for d in dims)
-    activations = tuple(activations)
-    if len(activations) != len(dims) - 1:
-        raise DataError("need one activation per layer")
-    for a in activations:
-        if a not in ACTIVATIONS:
-            raise DataError(f"unknown activation {a!r}")
+    model = AutoencoderModel(variant=variant, dims=dims, activations=activations,
+                             params=np.zeros(_param_count(dims)), seed=int(seed))
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    for W in model.weights:
+        fan_out, fan_in = W.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return AutoencoderModel(
-        variant=variant, dims=dims, activations=activations,
-        weights=weights, biases=biases, seed=int(seed),
-    )
+        W[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+    return model
 
 
 def build_model(variant: str, seed: int) -> AutoencoderModel:
@@ -155,14 +149,6 @@ def build_model(variant: str, seed: int) -> AutoencoderModel:
     return model
 
 
-@dataclass
-class ForwardCache:
-    """Every activation of one forward pass, for backprop."""
-
-    x: np.ndarray
-    activations: list[np.ndarray]  # activations[0] is the input
-
-
 def _layer(model: AutoencoderModel, l: int, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Layer l on activations a, written into out: act(a @ W_l.T + b_l).
 
@@ -170,11 +156,8 @@ def _layer(model: AutoencoderModel, l: int, a: np.ndarray, out: np.ndarray) -> n
     """
     np.matmul(a, model.weights[l].T, out=out)
     out += model.biases[l]
-    act = model.activations[l]
-    if act == "sigmoid":
+    if model.activations[l] == "sigmoid":
         sigmoid(out, out=out)
-    elif act != "linear":
-        raise DataError(f"unknown activation {act!r}")
     return out
 
 
@@ -188,24 +171,24 @@ def _input_rows(model: AutoencoderModel, x) -> tuple[np.ndarray, bool]:
 
 
 def forward(
-    model: AutoencoderModel, x, cache: ForwardCache | None = None
-) -> tuple[np.ndarray, ForwardCache]:
+    model: AutoencoderModel, x, cache: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run the network; accepts a (d,) vector or an (n, d) batch.
 
-    Passing the cache of an earlier call with the same number of rows reuses
-    its activation buffers: they, and the output returned before, are
-    overwritten.
+    Returns the output and every layer's activations, the first being the
+    input as an (n, d) batch, for backward. Passing the activations of an
+    earlier call with the same number of rows reuses their buffers: they, and
+    the output returned before, are overwritten.
     """
     X, squeeze = _input_rows(model, x)
     if cache is None:
-        cache = ForwardCache(x=X, activations=[X] + [np.empty((len(X), d))
-                                                     for d in model.dims[1:]])
-    elif cache.x.shape != X.shape:
-        raise DataError(f"cache holds {cache.x.shape} inputs, got {X.shape}")
-    cache.x = cache.activations[0] = X
+        cache = [X] + [np.empty((len(X), d)) for d in model.dims[1:]]
+    elif cache[0].shape != X.shape:
+        raise DataError(f"cache holds {cache[0].shape} inputs, got {X.shape}")
+    cache[0] = X
     for l in range(model.n_layers):
-        _layer(model, l, cache.activations[l], cache.activations[l + 1])
-    out = cache.activations[-1]
+        _layer(model, l, cache[l], cache[l + 1])
+    out = cache[-1]
     return (out[0] if squeeze else out), cache
 
 
@@ -223,9 +206,8 @@ def reconstruct(model: AutoencoderModel, x) -> np.ndarray:
 
 def encode(model: AutoencoderModel, x) -> np.ndarray:
     """Bottleneck representation: activations after the first half of the layers."""
-    _, cache = forward(model, x)
-    half = model.n_layers // 2
-    h = cache.activations[half]
+    _, acts = forward(model, x)
+    h = acts[model.n_layers // 2]
     return h[0] if np.asarray(x).ndim == 1 else h
 
 
@@ -243,7 +225,7 @@ def mse_loss(x_hat, x, residual: np.ndarray | None = None) -> float:
 
 
 def backward(
-    model: AutoencoderModel, cache: ForwardCache, x,
+    model: AutoencoderModel, acts: list[np.ndarray], x,
     grads: np.ndarray | None = None, residual: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Exact gradients of mse_loss(forward(x), x) wrt every weight and bias.
@@ -253,9 +235,9 @@ def backward(
     pass in the output minus x that mse_loss wrote, so it is not recomputed.
     """
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if X.shape != cache.x.shape or not np.array_equal(X, cache.x):
+    if X.shape != acts[0].shape or not np.array_equal(X, acts[0]):
         raise DataError("cache does not match the given input; rerun forward")
-    out = cache.activations[-1]
+    out = acts[-1]
     if grads is None:
         grads = np.empty_like(model.params)
     dWs, dbs = _layer_views(grads, model.dims)
@@ -265,11 +247,11 @@ def backward(
     for l in range(model.n_layers - 1, -1, -1):
         if model.activations[l] == "sigmoid":
             # dz = delta * a (1 - a), the derivative through the activation value
-            a = cache.activations[l + 1]
+            a = acts[l + 1]
             slope = 1.0 - a
             slope *= a
             delta *= slope
-        np.matmul(delta.T, cache.activations[l], out=dWs[l])
+        np.matmul(delta.T, acts[l], out=dWs[l])
         np.sum(delta, axis=0, out=dbs[l])
         if l > 0:
             delta = delta @ model.weights[l]
@@ -366,8 +348,6 @@ class TrainReport:
     train_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
     duration_s: float = 0.0
-    # results are bitwise-reproducible only for a fixed BLAS thread count
-    thread_note: str = ""
 
     @property
     def final_train_loss(self) -> float:
@@ -376,15 +356,6 @@ class TrainReport:
     @property
     def final_val_loss(self) -> float:
         return self.val_losses[-1]
-
-
-def _thread_note() -> str:
-    pinned = {
-        k: os.environ[k]
-        for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-        if k in os.environ
-    }
-    return f"cpus={os.cpu_count()} env={pinned or 'unset'}"
 
 
 def train(
@@ -416,33 +387,33 @@ def train(
     grads = np.empty_like(model.params)
     state = AdamState.for_params([model.params])
     # activation and residual buffers, one set per batch size
-    buffers: dict[int, tuple[ForwardCache, np.ndarray]] = {}
+    buffers: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
 
-    def reconstruct(batch: np.ndarray) -> tuple[ForwardCache, np.ndarray, float]:
-        cache, residual = buffers.get(len(batch), (None, None))
+    def batch_loss(batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
+        acts, residual = buffers.get(len(batch), (None, None))
         # divergence shows up as inf/nan loss and aborts below, so the
         # overflow itself is not worth a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            out, cache = forward(model, batch, cache)
+            out, acts = forward(model, batch, acts)
         if residual is None:
             residual = np.empty_like(out)
-        buffers[len(batch)] = cache, residual
-        return cache, residual, mse_loss(out, batch, residual)
+        buffers[len(batch)] = acts, residual
+        return acts, residual, mse_loss(out, batch, residual)
 
-    report = TrainReport(thread_note=_thread_note())
+    report = TrainReport()
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(n_train)
         sse = 0.0
         for b0 in range(0, n_train, config.batch_size):
             batch = X_train[order[b0:b0 + config.batch_size]]
-            cache, residual, batch_loss = reconstruct(batch)
-            if not np.isfinite(batch_loss):
+            acts, residual, loss = batch_loss(batch)
+            if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {b0 // config.batch_size}"
                 )
-            sse += batch_loss * batch.size
-            backward(model, cache, batch, grads, residual)
+            sse += loss * batch.size
+            backward(model, acts, batch, grads, residual)
             step += 1
             adam_step(
                 state, [model.params], [grads], step,
@@ -450,7 +421,7 @@ def train(
                 beta2=config.beta2, eps=config.eps,
             )
         report.train_losses.append(sse / (n_train * d))
-        _, _, val_loss = reconstruct(X_val)
+        _, _, val_loss = batch_loss(X_val)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss after epoch {epoch}")
         report.val_losses.append(val_loss)
@@ -486,21 +457,18 @@ def load_model(path: str | Path) -> AutoencoderModel:
     dims = get_field(doc, "dims", lambda v: tuple(int(d) for d in v), where)
     activations = get_field(doc, "activations", tuple, where)
     raw = get_field(doc, "params", lambda v: base64.b64decode(v, validate=True), where)
-    if len(dims) < 2 or min(dims) < 1 or len(activations) != len(dims) - 1:
-        raise ArtifactError(f"{path}: dims {list(dims)} and {len(activations)} "
-                            "activations are inconsistent")
-    for l, act in enumerate(activations):
-        if act not in ACTIVATIONS:
-            raise ArtifactError(f"{path}: layer {l} has unknown activation {act!r}; "
-                                f"expected one of {', '.join(ACTIVATIONS)}")
     if len(raw) != 8 * _param_count(dims):
         raise ArtifactError(f"{path}: params holds {len(raw)} bytes, but dims {list(dims)} "
                             f"need {8 * _param_count(dims)}")
-    weights, biases = _layer_views(np.frombuffer(raw, dtype="<f8"), dims)
-    for l, (W, b) in enumerate(zip(weights, biases)):
+    try:
+        model = AutoencoderModel(
+            variant=variant, dims=dims, activations=activations,
+            params=np.frombuffer(raw, "<f8").astype(np.float64),
+            seed=doc.get("seed"), train_config=doc.get("train_config"),
+        )
+    except DataError as exc:
+        raise ArtifactError(f"{path}: {exc}") from exc
+    for l, (W, b) in enumerate(zip(model.weights, model.biases)):
         if not (np.isfinite(W).all() and np.isfinite(b).all()):
             raise ArtifactError(f"{path}: layer {l} has non-finite weights or biases")
-    return AutoencoderModel(
-        variant=variant, dims=dims, activations=activations, weights=weights,
-        biases=biases, seed=doc.get("seed"), train_config=doc.get("train_config"),
-    )
+    return model

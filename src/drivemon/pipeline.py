@@ -1,7 +1,8 @@
 """Library stages over one artifact directory: fit, calibrate, detect, evaluate.
 
-Only this module knows the artifact file names and formats and which
-artifacts must agree; nothing time-dependent is written. Layer functions are
+Only this module knows the artifact file names and which artifacts must
+agree; each format is read and written by its own module (net, features,
+detect). Nothing time-dependent is written. Layer functions are
 called through their modules, so wrappers installed on them see these calls.
 """
 

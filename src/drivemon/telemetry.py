@@ -72,8 +72,6 @@ class TelemetryStream:
     sol: np.ndarray
     values: np.ndarray
 
-    sample_rate_hz = SAMPLE_RATE_HZ
-
     def __post_init__(self):
         t = np.array(self.t, dtype=np.float64)
         sol = np.asarray(self.sol)

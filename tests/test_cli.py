@@ -7,7 +7,7 @@ import pytest
 from drivemon.cli import main
 from drivemon.detect import Threshold, read_scores_csv
 from drivemon.features import MinMaxScaler, fit_scaler
-from drivemon.net import AutoencoderModel, load_model, save_model
+from drivemon.net import load_model, new_model, save_model
 from drivemon.telemetry import CSV_HEADER
 
 
@@ -150,6 +150,22 @@ def test_detect_percentile_override_no_retrain(tmp_path, data_dir, trained_dir):
     assert Threshold.load(art / "threshold.json").percentile == 99.9
 
 
+def test_detect_non_finite_calibration_scores_exits_4(tmp_path, data_dir, trained_dir, capsys):
+    art = tmp_path / "art"
+    art.mkdir()
+    for name in ("model.json", "scaler.json", "threshold.json", "pipeline.json"):
+        (art / name).write_bytes((trained_dir / name).read_bytes())
+    lines = (trained_dir / "calibration_scores.csv").read_text().splitlines()
+    # every score from data row 4 on is nan; line 0 is the header
+    lines[5:] = [line.rsplit(",", 1)[0] + ",nan" for line in lines[5:]]
+    (art / "calibration_scores.csv").write_text("\n".join(lines) + "\n")
+    assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art,
+               "--percentile", 50) == 4
+    err = capsys.readouterr().err
+    assert "calibration_scores.csv: row 4: bad value in field 'score'" in err
+    assert not (art / "report.json").exists()
+
+
 def test_detect_variant_mismatch_exits_4(tmp_path, data_dir, trained_dir):
     art = tmp_path / "art"
     art.mkdir()
@@ -163,10 +179,8 @@ def test_detect_variant_mismatch_exits_4(tmp_path, data_dir, trained_dir):
 def test_detect_perfect_stub_model_zero_flags(tmp_path, data_dir):
     art = tmp_path / "art"
     art.mkdir()
-    stub = AutoencoderModel(
-        variant="prime", dims=(322, 322), activations=("linear",),
-        weights=[np.eye(322)], biases=[np.zeros(322)],
-    )
+    stub = new_model((322, 322), ("linear",), seed=0, variant="prime")
+    stub.weights[0][...] = np.eye(322)
     save_model(stub, art / "model.json")
     # scaler fitted on the test features themselves; reconstruction is exact
     from drivemon import derive_stream, feature_mask, feature_matrix, WindowSpec
@@ -295,10 +309,17 @@ def test_detect_unknown_activation_exits_4(tmp_path, data_dir, trained_dir, caps
     ("evaluate", "labels.json", '[{"kind": "MTSC"}]', 3),
     ("detect", "scaler.json", '{"variant": "prime", "min": ["x"], "max": [1.0]}', 4),
     ("detect", "threshold.json", '{"percentile": 99.9, "value": NaN, "n": 117}', 4),
+    ("detect", "threshold.json", '{"percentile": 150, "value": 1.0, "n": 117}', 4),
+    ("detect", "threshold.json", '{"percentile": 0, "value": 1.0, "n": 117}', 4),
+    ("detect", "threshold.json", '{"percentile": 99.9, "value": 1.0, "n": 0}', 4),
+    ("evaluate", "scores.csv", "sol,start_t,score\n1,0.0,0.1\n1,1.0,nan\n", 4),
+    ("evaluate", "scores.csv", "sol,start_t,score\n1,inf,0.1\n", 4),
     ("detect", "model.json", None, 4),
     ("detect", "scaler.json", None, 4),
     ("detect", "threshold.json", None, 4),
 ], ids=["report-field", "scores-cell", "labels-field", "scaler-min", "threshold-nan",
+        "threshold-percentile-150", "threshold-percentile-0", "threshold-n-0",
+        "scores-nan", "scores-start-inf",
         "model-missing", "scaler-missing", "threshold-missing"])
 def test_malformed_input_exit_code(tmp_path, data_dir, trained_dir, capsys,
                                    command, name, content, code):

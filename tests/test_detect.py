@@ -20,7 +20,7 @@ from drivemon.detect import (
 )
 from drivemon.errors import ArtifactError, DataError
 from drivemon.features import MinMaxScaler, feature_mask
-from drivemon.net import AutoencoderModel, build_model, forward
+from drivemon.net import build_model, forward, new_model
 
 import numpy.testing as npt
 
@@ -28,10 +28,9 @@ from oracles import nearest_rank_oracle
 
 
 def identity_model(d, variant="custom"):
-    return AutoencoderModel(
-        variant=variant, dims=(d, d), activations=("linear",),
-        weights=[np.eye(d)], biases=[np.zeros(d)],
-    )
+    model = new_model((d, d), ("linear",), seed=0, variant=variant)
+    model.weights[0][...] = np.eye(d)
+    return model
 
 
 def unit_scaler(d, variant="custom"):
@@ -156,6 +155,17 @@ def test_calibrate_guards():
         calibrate(np.arange(200.0), 100.0)
     # below-99 percentiles work on small samples
     assert calibrate(np.arange(10.0), 50.0).value == 4.0
+
+
+def test_non_finite_scores_are_refused(tmp_path):
+    scores = np.arange(200.0)
+    scores[7] = np.nan
+    with pytest.raises(DataError, match="calibration score 7 is nan"):
+        calibrate(scores, 50.0)
+    path = tmp_path / "scores.csv"
+    write_scores_csv(path, scores, np.arange(200.0), np.ones(200))
+    with pytest.raises(ArtifactError, match="scores.csv: row 7: bad value in field 'score'"):
+        read_scores_csv(path)
 
 
 def test_flag_strict_inequality():

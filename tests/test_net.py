@@ -82,6 +82,32 @@ def test_build_is_deterministic():
     assert not np.array_equal(a.weights[0], c.weights[0])
 
 
+@pytest.mark.parametrize("dims,acts,seed", [(TOY_DIMS, TOY_ACTS, 5),
+                                            (net.ARCHITECTURES["prime"]["dims"],
+                                             net.ARCHITECTURES["prime"]["activations"], 3)],
+                         ids=["toy", "prime"])
+def test_new_model_initial_bits(dims, acts, seed):
+    # one generator, each layer's Glorot weights drawn in order, then zero biases
+    rng = np.random.default_rng(seed)
+    parts = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        parts += [rng.uniform(-limit, limit, (fan_out, fan_in)).ravel(), np.zeros(fan_out)]
+    assert new_model(dims, acts, seed=seed).params.tobytes() == np.concatenate(parts).tobytes()
+
+
+@pytest.mark.parametrize("dims,acts,params,match", [
+    (TOY_DIMS, TOY_ACTS, np.zeros(net._param_count(TOY_DIMS) - 1), "shape"),
+    (TOY_DIMS, TOY_ACTS, np.zeros(net._param_count(TOY_DIMS), dtype=np.float32), "float32"),
+    (TOY_DIMS, TOY_ACTS[:-1], np.zeros(net._param_count(TOY_DIMS)), "inconsistent"),
+    (TOY_DIMS, ("linear", "relu") + TOY_ACTS[2:], np.zeros(net._param_count(TOY_DIMS)),
+     "layer 1 has unknown activation 'relu'"),
+], ids=["wrong-length", "float32", "activation-count", "unknown-activation"])
+def test_model_rejects_bad_structure(dims, acts, params, match):
+    with pytest.raises(DataError, match=match):
+        AutoencoderModel(variant="custom", dims=dims, activations=acts, params=params)
+
+
 def test_sigmoid_stable_at_extremes():
     z = np.array([-1e4, -40.0, 0.0, 40.0, 1e4])
     s = sigmoid(z)
@@ -119,17 +145,17 @@ def test_forward_identity_single_layer():
 
 
 def test_forward_222_hand_computed():
-    model = AutoencoderModel(
-        variant="custom", dims=(2, 2, 2), activations=("sigmoid", "linear"),
-        weights=[np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, -1.0], [2.0, 1.0]])],
-        biases=[np.array([0.5, -0.5]), np.array([0.0, 1.0])],
-    )
-    out, cache = forward(model, np.array([0.1, 0.2]))
+    model = new_model((2, 2, 2), ("sigmoid", "linear"), seed=0)
+    model.weights[0][...] = [[1.0, 2.0], [3.0, 4.0]]
+    model.weights[1][...] = [[1.0, -1.0], [2.0, 1.0]]
+    model.biases[0][...] = [0.5, -0.5]
+    model.biases[1][...] = [0.0, 1.0]
+    out, acts = forward(model, np.array([0.1, 0.2]))
     # z1 = [1.0, 0.6]; a1 = sigmoid(z1); out = [a1_0 - a1_1, 2 a1_0 + a1_1 + 1]
     expected = np.array([0.0854022724042095, 3.107773463485805])
     assert np.max(np.abs(out - expected)) < 1e-12
     a1 = 1.0 / (1.0 + np.exp(-np.array([1.0, 0.6])))
-    assert np.max(np.abs(cache.activations[1] - a1)) < 1e-15
+    assert np.max(np.abs(acts[1] - a1)) < 1e-15
 
 
 def test_forward_dim_mismatch():
@@ -153,10 +179,10 @@ def test_forward_reuses_cache_buffers():
     X1, X2 = rng.random((5, 10)), rng.random((5, 10))
     expected, _ = forward(model, X2)
     _, cache = forward(model, X1)
-    buffers = [a.ctypes.data for a in cache.activations[1:]]
+    buffers = [a.ctypes.data for a in cache[1:]]
     out, again = forward(model, X2, cache)
     assert again is cache and np.array_equal(out, expected)
-    assert [a.ctypes.data for a in again.activations[1:]] == buffers
+    assert [a.ctypes.data for a in again[1:]] == buffers
     with pytest.raises(DataError, match="cache"):
         forward(model, X2[:4], cache)
 
@@ -204,10 +230,9 @@ def test_backward_matches_finite_differences():
 
 def test_backward_zero_at_stationary_point():
     # identity network reconstructs exactly, so every gradient vanishes
-    model = AutoencoderModel(
-        variant="custom", dims=(4, 4, 4), activations=("linear", "linear"),
-        weights=[np.eye(4), np.eye(4)], biases=[np.zeros(4), np.zeros(4)],
-    )
+    model = new_model((4, 4, 4), ("linear", "linear"), seed=0)
+    for W in model.weights:
+        W[...] = np.eye(4)
     x = np.array([0.3, -1.2, 0.7, 2.0])
     out, cache = forward(model, x)
     assert np.array_equal(out, x)
