@@ -210,11 +210,12 @@ def read_report_json(path: str | Path) -> list[FlagRecord]:
         where = f"{path}: record {i}"
         records.append(FlagRecord(
             sol=get_field(r, "sol", int, where),
-            start_t=get_field(r, "start_t", float, where),
-            score=get_field(r, "score", float, where),
-            threshold=get_field(r, "threshold", float, where),
+            start_t=get_field(r, "start_t", _finite_float, where),
+            score=get_field(r, "score", _finite_float, where),
+            threshold=get_field(r, "threshold", _finite_float, where),
             contributors=tuple(
-                (get_field(c, "feature", str, where), get_field(c, "magnitude", float, where))
+                (get_field(c, "feature", str, where),
+                 get_field(c, "magnitude", _finite_float, where))
                 for c in get_field(r, "contributors", list, where)
             ),
         ))

@@ -48,5 +48,5 @@ def get_field(doc, key: str, convert, where: str, error: type[PipelineError] = A
         raise error(f"{where}: missing field {key!r}") from None
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise error(f"{where}: bad value in field {key!r}: {exc}") from None

@@ -9,12 +9,12 @@ undercomplete. Everything is double precision so gradient checks are tight.
 Every weight and bias lives in one contiguous float64 buffer,
 ``AutoencoderModel.params``, laid out layer by layer as W_l row-major then
 b_l. Gradients use the same layout, ADAM updates the whole buffer at once,
-and ``model.json`` stores it as base64 of its little-endian bytes.
+and ``save_model`` writes its little-endian bytes to ``model.params`` beside
+``model.json``, which records their SHA-256.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -53,7 +53,9 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.minimum(z, e, out=e)
     np.exp(e, out=e)
     out = np.add(e, 1.0, out=out)
-    np.copyto(e, 1.0, where=pos)
+    # the numerator: 1 where z >= 0, else e; e <= 1, so e + 1 caps at exactly 1
+    np.add(e, pos, out=e)
+    np.minimum(e, 1.0, out=e)
     return np.divide(e, out, out=out)
 
 
@@ -432,34 +434,67 @@ def train(
     return model, report
 
 
+def _params_file(path: Path) -> Path:
+    """The raw parameter file of a model JSON: model.json -> model.params."""
+    return path.with_suffix(".params")
+
+
+def _sha256(raw: bytes) -> str:
+    # imported here: hashlib loads OpenSSL, about 5 ms that commands which
+    # never touch a model (generate) would otherwise pay at import
+    import hashlib
+    return hashlib.sha256(raw).hexdigest()
+
+
 def save_model(model: AutoencoderModel, path: str | Path) -> None:
-    """Persist a model as JSON; ``params`` is base64 of the "<f8" parameter buffer."""
+    """Persist a model as JSON metadata plus its raw parameter file.
+
+    The "<f8" bytes of ``params`` go to the sibling ``.params`` file, and the
+    JSON records their SHA-256 so a file from another model is refused.
+    """
+    path = Path(path)
     raw = model.params.astype("<f8", copy=False).tobytes()
+    _params_file(path).write_bytes(raw)
     doc = {
         "variant": model.variant,
         "dims": list(model.dims),
         "activations": list(model.activations),
-        "params": base64.b64encode(raw).decode("ascii"),
+        "params_sha256": _sha256(raw),
         "seed": model.seed,
         "train_config": model.train_config,
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    path.write_text(json.dumps(doc) + "\n")
 
 
 def load_model(path: str | Path) -> AutoencoderModel:
-    """Load a persisted model, validating its structure and parameters."""
+    """Load a persisted model, validating its structure and parameters.
+
+    The parameter file's name comes from ``path``, never from the JSON, and
+    its bytes must match the recorded SHA-256 before they are used.
+    """
+    path = Path(path)
+    params_path = _params_file(path)
     doc = read_json(path)
     where = str(path)
-    if isinstance(doc, dict) and "weights" in doc and "params" not in doc:
-        raise ArtifactError(f"{path}: weights stored as nested lists are an older model "
-                            "format that is no longer read; retrain the model")
+    if isinstance(doc, dict) and "params_sha256" not in doc and {"weights", "params"} & doc.keys():
+        raise ArtifactError(f"{path}: parameters stored inside the JSON (nested lists or "
+                            "base64) are an older model format that is no longer read; "
+                            f"retrain the model to write {params_path.name}")
     variant = get_field(doc, "variant", str, where)
     dims = get_field(doc, "dims", lambda v: tuple(int(d) for d in v), where)
     activations = get_field(doc, "activations", tuple, where)
-    raw = get_field(doc, "params", lambda v: base64.b64decode(v, validate=True), where)
+    digest = get_field(doc, "params_sha256", str, where)
+    try:
+        raw = params_path.read_bytes()
+    except OSError as exc:
+        raise ArtifactError(f"{path}: cannot read its parameters from {params_path}: "
+                            f"{exc.strerror}") from exc
+    if _sha256(raw) != digest:
+        raise ArtifactError(f"{params_path}: SHA-256 does not match params_sha256 in "
+                            f"{path}; the parameter file is damaged or from another model")
     if len(raw) != 8 * _param_count(dims):
         raise ArtifactError(f"{path}: params holds {len(raw)} bytes, but dims {list(dims)} "
-                            f"need {8 * _param_count(dims)}")
+                            f"need {8 * _param_count(dims)} (read from {params_path})")
     try:
         model = AutoencoderModel(
             variant=variant, dims=dims, activations=activations,
@@ -470,5 +505,6 @@ def load_model(path: str | Path) -> AutoencoderModel:
         raise ArtifactError(f"{path}: {exc}") from exc
     for l, (W, b) in enumerate(zip(model.weights, model.biases)):
         if not (np.isfinite(W).all() and np.isfinite(b).all()):
-            raise ArtifactError(f"{path}: layer {l} has non-finite weights or biases")
+            raise ArtifactError(f"{path}: layer {l} has non-finite weights or biases "
+                                f"in {params_path.name}")
     return model

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -28,3 +31,13 @@ def make_stream(n: int, seed: int = 0, sol: int = 1000) -> TelemetryStream:
         sol=np.full(n, sol, dtype=np.int64),
         values=rng.normal(0.0, 1.0, size=(n, len(SENSOR_CHANNELS))),
     )
+
+
+def store_params(model_json, params) -> None:
+    """Write params as the parameter file beside model_json and record its SHA-256,
+    as save_model does, so the loader's later checks see a consistent pair."""
+    raw = np.asarray(params, dtype="<f8").tobytes()
+    model_json.with_suffix(".params").write_bytes(raw)
+    doc = json.loads(model_json.read_text())
+    doc["params_sha256"] = hashlib.sha256(raw).hexdigest()
+    model_json.write_text(json.dumps(doc))

@@ -10,6 +10,8 @@ from drivemon.features import MinMaxScaler, fit_scaler
 from drivemon.net import load_model, new_model, save_model
 from drivemon.telemetry import CSV_HEADER
 
+from conftest import store_params
+
 
 def run(*args):
     return main([str(a) for a in args])
@@ -81,7 +83,7 @@ def test_train_rerun_byte_identical(tmp_path, data_dir, trained_dir):
     art = tmp_path / "art"
     assert run("train", "--data", data_dir / "train.csv", "--artifacts", art,
                "--variant", "prime", "--seed", 3, "--epochs", 3) == 0
-    for name in ("model.json", "scaler.json", "losses.csv", "pipeline.json"):
+    for name in ("model.json", "model.params", "scaler.json", "losses.csv", "pipeline.json"):
         assert (art / name).read_bytes() == (trained_dir / name).read_bytes()
 
 
@@ -101,7 +103,7 @@ def test_calibrate_artifacts(trained_dir):
 def test_calibrate_lower_percentile_lower_value(tmp_path, data_dir, trained_dir):
     art = tmp_path / "art"
     art.mkdir()
-    for name in ("model.json", "scaler.json", "pipeline.json"):
+    for name in ("model.json", "model.params", "scaler.json", "pipeline.json"):
         (art / name).write_bytes((trained_dir / name).read_bytes())
     assert run("calibrate", "--data", data_dir / "train.csv", "--artifacts", art,
                "--percentile", 99) == 0
@@ -136,7 +138,7 @@ def test_detect_reports(tmp_path, data_dir, trained_dir):
 def test_detect_percentile_override_no_retrain(tmp_path, data_dir, trained_dir):
     art = tmp_path / "art"
     art.mkdir()
-    for name in ("model.json", "scaler.json", "threshold.json",
+    for name in ("model.json", "model.params", "scaler.json", "threshold.json",
                  "calibration_scores.csv", "pipeline.json"):
         (art / name).write_bytes((trained_dir / name).read_bytes())
     assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art) == 0
@@ -153,7 +155,7 @@ def test_detect_percentile_override_no_retrain(tmp_path, data_dir, trained_dir):
 def test_detect_non_finite_calibration_scores_exits_4(tmp_path, data_dir, trained_dir, capsys):
     art = tmp_path / "art"
     art.mkdir()
-    for name in ("model.json", "scaler.json", "threshold.json", "pipeline.json"):
+    for name in ("model.json", "model.params", "scaler.json", "threshold.json", "pipeline.json"):
         (art / name).write_bytes((trained_dir / name).read_bytes())
     lines = (trained_dir / "calibration_scores.csv").read_text().splitlines()
     # every score from data row 4 on is nan; line 0 is the header
@@ -169,7 +171,7 @@ def test_detect_non_finite_calibration_scores_exits_4(tmp_path, data_dir, traine
 def test_detect_variant_mismatch_exits_4(tmp_path, data_dir, trained_dir):
     art = tmp_path / "art"
     art.mkdir()
-    for name in ("model.json", "threshold.json", "pipeline.json"):
+    for name in ("model.json", "model.params", "threshold.json", "pipeline.json"):
         (art / name).write_bytes((trained_dir / name).read_bytes())
     rng = np.random.default_rng(0)
     fit_scaler(rng.random((5, 301)), variant="refined").save(art / "scaler.json")
@@ -277,23 +279,63 @@ def test_corrupt_model_artifact_exits_4(tmp_path, data_dir):
 def test_detect_nan_weight_exits_4(tmp_path, data_dir, trained_dir, capsys):
     art = tmp_path / "art"
     art.mkdir()
-    for name in ("model.json", "scaler.json", "threshold.json", "pipeline.json"):
+    for name in ("model.json", "model.params", "scaler.json", "threshold.json", "pipeline.json"):
         (art / name).write_bytes((trained_dir / name).read_bytes())
-    doc = json.loads((art / "model.json").read_text())
-    params = np.frombuffer(base64.b64decode(doc["params"]), dtype="<f8").copy()
-    dims = doc["dims"]
+    dims = json.loads((art / "model.json").read_text())["dims"]
+    params = np.fromfile(art / "model.params", dtype="<f8")
     # W_0, b_0, W_1, b_1, then W_2[0, 0]
     params[dims[1] * dims[0] + dims[1] + dims[2] * dims[1] + dims[2]] = np.nan
-    doc["params"] = base64.b64encode(params.tobytes()).decode("ascii")
-    (art / "model.json").write_text(json.dumps(doc))
+    store_params(art / "model.json", params)  # a matching hash: the finite check must fire
     assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art) == 4
-    assert "layer 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "model.json: layer 2" in err and "model.params" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def other_seed_dir(tmp_path_factory, data_dir):
+    """The trained_dir model retrained from another seed."""
+    art = tmp_path_factory.mktemp("other-seed")
+    assert run("train", "--data", data_dir / "train.csv", "--artifacts", art,
+               "--variant", "prime", "--seed", 4, "--epochs", 3) == 0
+    return art
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "flipped-byte", "other-seed",
+                                    "base64-format"])
+def test_detect_bad_model_params_exits_4(tmp_path, data_dir, trained_dir, other_seed_dir,
+                                         capsys, damage):
+    """A model.params that is missing, damaged or from another model, and a model.json of
+    the older format with base64 params inside it, exit 4 naming both files."""
+    art = tmp_path / "art"
+    art.mkdir()
+    for name in ("model.json", "model.params", "scaler.json", "threshold.json", "pipeline.json"):
+        (art / name).write_bytes((trained_dir / name).read_bytes())
+    params = art / "model.params"
+    raw = params.read_bytes()
+    if damage == "missing":
+        params.unlink()
+    elif damage == "truncated":
+        params.write_bytes(raw[:len(raw) // 2])
+    elif damage == "flipped-byte":
+        params.write_bytes(raw[:100] + bytes([raw[100] ^ 0x01]) + raw[101:])
+    elif damage == "other-seed":
+        params.write_bytes((other_seed_dir / "model.params").read_bytes())
+    else:
+        doc = json.loads((art / "model.json").read_text())
+        del doc["params_sha256"]
+        doc["params"] = base64.b64encode(raw).decode("ascii")
+        (art / "model.json").write_text(json.dumps(doc))
+        params.unlink()
+    assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art) == 4
+    err = capsys.readouterr().err
+    assert "model.params" in err and "model.json" in err and "Traceback" not in err
+    assert not (art / "report.json").exists()
 
 
 def test_detect_unknown_activation_exits_4(tmp_path, data_dir, trained_dir, capsys):
     art = tmp_path / "art"
     art.mkdir()
-    for name in ("model.json", "scaler.json", "threshold.json", "pipeline.json"):
+    for name in ("model.json", "model.params", "scaler.json", "threshold.json", "pipeline.json"):
         (art / name).write_bytes((trained_dir / name).read_bytes())
     doc = json.loads((art / "model.json").read_text())
     doc["activations"][1] = "relu"
@@ -301,6 +343,14 @@ def test_detect_unknown_activation_exits_4(tmp_path, data_dir, trained_dir, caps
     assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art) == 4
     err = capsys.readouterr().err
     assert "model.json" in err and "'relu'" in err
+
+
+def _report_with(field, value):
+    """A one-flag report.json whose `field` holds `value`; json writes NaN and Infinity."""
+    record = {"sol": 1, "start_t": 0.0, "score": 9.0, "threshold": 1.0,
+              "contributors": [{"feature": "std(accel[Z])", "magnitude": 5.0}]}
+    (record["contributors"][0] if field == "magnitude" else record)[field] = value
+    return json.dumps([record])
 
 
 @pytest.mark.parametrize("command,name,content,code", [
@@ -314,19 +364,25 @@ def test_detect_unknown_activation_exits_4(tmp_path, data_dir, trained_dir, caps
     ("detect", "threshold.json", '{"percentile": 99.9, "value": 1.0, "n": 0}', 4),
     ("evaluate", "scores.csv", "sol,start_t,score\n1,0.0,0.1\n1,1.0,nan\n", 4),
     ("evaluate", "scores.csv", "sol,start_t,score\n1,inf,0.1\n", 4),
+    ("evaluate", "report.json", _report_with("start_t", float("nan")), 4),
+    ("evaluate", "report.json", _report_with("score", float("inf")), 4),
+    ("evaluate", "report.json", _report_with("threshold", float("-inf")), 4),
+    ("evaluate", "report.json", _report_with("magnitude", float("nan")), 4),
+    ("evaluate", "report.json", _report_with("sol", float("inf")), 4),
     ("detect", "model.json", None, 4),
     ("detect", "scaler.json", None, 4),
     ("detect", "threshold.json", None, 4),
 ], ids=["report-field", "scores-cell", "labels-field", "scaler-min", "threshold-nan",
         "threshold-percentile-150", "threshold-percentile-0", "threshold-n-0",
-        "scores-nan", "scores-start-inf",
+        "scores-nan", "scores-start-inf", "report-start-nan", "report-score-inf",
+        "report-threshold-minus-inf", "report-magnitude-nan", "report-sol-inf",
         "model-missing", "scaler-missing", "threshold-missing"])
 def test_malformed_input_exit_code(tmp_path, data_dir, trained_dir, capsys,
                                    command, name, content, code):
     """A damaged or missing file ends with its exit code and a message naming it."""
     art = tmp_path / "art"
     art.mkdir()
-    for kept in ("model.json", "scaler.json", "threshold.json", "pipeline.json"):
+    for kept in ("model.json", "model.params", "scaler.json", "threshold.json", "pipeline.json"):
         (art / kept).write_bytes((trained_dir / kept).read_bytes())
     (art / "report.json").write_text("[]\n")
     (art / "scores.csv").write_text("sol,start_t,score\n1,0.0,0.1\n")
@@ -355,7 +411,7 @@ def test_malformed_pipeline_exits_4(tmp_path, data_dir, trained_dir, capsys,
     """A damaged pipeline.json exits 4, naming the file and the field."""
     art = tmp_path / "art"
     art.mkdir()
-    for kept in ("model.json", "scaler.json", "threshold.json"):
+    for kept in ("model.json", "model.params", "scaler.json", "threshold.json"):
         (art / kept).write_bytes((trained_dir / kept).read_bytes())
     (art / "report.json").write_text("[]\n")
     (art / "scores.csv").write_text("sol,start_t,score\n1,0.0,0.1\n")
@@ -415,7 +471,7 @@ def test_detect_non_finite_scaler_exits_4(tmp_path, data_dir, trained_dir, capsy
     """A scaler.json whose min is all NaN is refused at load, naming the file and field."""
     art = tmp_path / "art"
     art.mkdir()
-    for kept in ("model.json", "threshold.json", "pipeline.json"):
+    for kept in ("model.json", "model.params", "threshold.json", "pipeline.json"):
         (art / kept).write_bytes((trained_dir / kept).read_bytes())
     doc = json.loads((trained_dir / "scaler.json").read_text())
     doc["min"] = [float("nan")] * len(doc["min"])

@@ -264,6 +264,23 @@ def test_report_writers_roundtrip(tmp_path):
     assert read_report_json(json_path) == records
 
 
+@pytest.mark.parametrize("field,value", [
+    ("start_t", float("nan")), ("score", float("inf")), ("threshold", float("-inf")),
+    ("magnitude", float("nan")), ("sol", float("inf")),
+])
+def test_report_json_rejects_non_finite(tmp_path, field, value):
+    """A non-finite number in report.json is refused, naming the record and the field."""
+    good = {"sol": 1, "start_t": 0.0, "score": 9.0, "threshold": 1.0,
+            "contributors": [{"feature": "std(accel[Z])", "magnitude": 5.0}]}
+    bad = json.loads(json.dumps(good))
+    (bad["contributors"][0] if field == "magnitude" else bad)[field] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps([good, bad]))
+    match = f"report.json: record 1: bad value in field '{field}'"
+    with pytest.raises(ArtifactError, match=match):
+        read_report_json(path)
+
+
 def test_scores_csv_roundtrip(tmp_path):
     path = tmp_path / "scores.csv"
     scores = np.array([1.5, 2.5, 0.25])

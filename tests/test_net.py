@@ -1,5 +1,6 @@
 import base64
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from drivemon.net import (
     train,
 )
 
+from conftest import store_params
 from oracles import (
     central_difference_grads,
     max_relative_gradient_error,
@@ -371,18 +373,15 @@ def test_train_guards():
         TrainConfig(rng_seed=0, validation_fraction=1.0)
 
 
-def _decoded_params(path):
-    return np.frombuffer(base64.b64decode(json.loads(path.read_text())["params"]), dtype="<f8")
+def _stored_params(path):
+    """The parameter buffer save_model wrote beside the model JSON at path."""
+    return np.frombuffer(path.with_suffix(".params").read_bytes(), dtype="<f8")
 
 
 def _rewrite(path, **fields):
     doc = json.loads(path.read_text())
     doc.update(fields)
     path.write_text(json.dumps(doc))
-
-
-def _encoded(params):
-    return base64.b64encode(np.asarray(params, dtype="<f8").tobytes()).decode("ascii")
 
 
 def test_params_is_one_buffer_of_layer_views():
@@ -405,12 +404,14 @@ def test_save_load_roundtrip(tmp_path):
     model.train_config = TrainConfig(rng_seed=11, epochs=2).to_json()
     save_model(model, path)
     doc = json.loads(path.read_text())
-    assert set(doc) == {"variant", "dims", "activations", "params", "seed", "train_config"}
-    assert np.array_equal(_decoded_params(path), model.params)
+    assert set(doc) == {"variant", "dims", "activations", "params_sha256", "seed",
+                        "train_config"}
+    assert (tmp_path / "model.params").read_bytes() == model.params.astype("<f8").tobytes()
     back = load_model(path)
     out_after, _ = forward(back, x)
     assert np.array_equal(out_before, out_after)
-    assert np.array_equal(back.params, model.params)
+    assert back.params.tobytes() == model.params.tobytes()
+    assert back.params.flags.writeable
     assert back.dims == model.dims
     assert back.train_config == model.train_config
 
@@ -435,11 +436,47 @@ def test_load_rejects_inconsistent_shapes(tmp_path):
         load_model(path)
 
 
-def test_load_rejects_bad_base64(tmp_path):
+def test_load_refuses_base64_format(tmp_path):
+    """A model.json of the older format, params as base64 inside the JSON, is refused."""
     path = tmp_path / "model.json"
     save_model(toy_model(0), path)
-    _rewrite(path, params="not base64!")
-    with pytest.raises(ArtifactError, match="model.json: bad value in field 'params'"):
+    raw = (tmp_path / "model.params").read_bytes()
+    doc = json.loads(path.read_text())
+    del doc["params_sha256"]
+    doc["params"] = base64.b64encode(raw).decode("ascii")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match="model.json: .*older model format.*model.params"):
+        load_model(path)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _flip_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[100] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def _other_seed(path):
+    other = path.parent / "other"
+    other.mkdir()
+    save_model(toy_model(1), other / "model.json")
+    shutil.copyfile(other / "model.params", path)
+
+
+@pytest.mark.parametrize("damage,match", [
+    (lambda p: p.unlink(), r"model.json: cannot read its parameters from .*model.params"),
+    (_truncate, r"model.params: SHA-256 does not match params_sha256 in .*model.json"),
+    (_flip_byte, r"model.params: SHA-256 does not match params_sha256 in .*model.json"),
+    (_other_seed, r"model.params: SHA-256 does not match params_sha256 in .*model.json"),
+], ids=["missing", "truncated", "flipped-byte", "other-seed"])
+def test_load_rejects_damaged_params_file(tmp_path, damage, match):
+    path = tmp_path / "model.json"
+    save_model(toy_model(0), path)
+    damage(tmp_path / "model.params")
+    with pytest.raises(ArtifactError, match=match):
         load_model(path)
 
 
@@ -448,12 +485,12 @@ def test_load_rejects_non_finite_parameters(tmp_path, param):
     model = toy_model(0)
     path = tmp_path / "model.json"
     save_model(model, path)
-    params = _decoded_params(path).copy()
+    params = _stored_params(path).copy()
     # layer 0 is W_0 then b_0; layer 1's weights follow, then its biases
     w1 = TOY_DIMS[1] * TOY_DIMS[0] + TOY_DIMS[1]
     params[w1 if param == "weights" else w1 + TOY_DIMS[2] * TOY_DIMS[1]] = np.nan
-    _rewrite(path, params=_encoded(params))
-    with pytest.raises(ArtifactError, match="model.json: layer 1"):
+    store_params(path, params)
+    with pytest.raises(ArtifactError, match="model.json: layer 1 .*model.params"):
         load_model(path)
 
 
