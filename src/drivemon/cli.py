@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage, 3 data error, 4 artifact mismatch.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -97,10 +98,11 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 
 def cmd_generate(args, parser: argparse.ArgumentParser) -> None:
-    if args.train_s < 4.0 or args.test_s < 4.0:
-        parser.error("--train-s and --test-s must be at least 4 (one full window)")
-    if args.severity <= 0:
-        parser.error("--severity must be > 0")
+    # each range is written so that NaN fails it
+    if not (4.0 <= args.train_s < math.inf and 4.0 <= args.test_s < math.inf):
+        parser.error("--train-s and --test-s must be finite and at least 4 (one full window)")
+    if not 0.0 < args.severity < math.inf:
+        parser.error("--severity must be finite and > 0")
     try:
         events = synth.plan_events(args.events, args.test_s, args.seed,
                                    severity=args.severity)

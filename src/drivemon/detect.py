@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, DataError, get_field, read_json
-from .features import MinMaxScaler, feature_mask
+from .errors import ArtifactError, DataError, get_field, read_json, strict_int
+from .features import feature_mask
 from .net import AutoencoderModel, reconstruct
 
 #: Contributors below this fraction of the total score are not reported.
@@ -47,7 +47,7 @@ class Threshold:
         if not 0.0 < percentile < 100.0:
             raise ArtifactError(f"{where}: field 'percentile' is {percentile}, "
                                 "outside (0, 100)")
-        n = get_field(doc, "n", int, where)
+        n = get_field(doc, "n", strict_int, where)
         if n < 1:
             raise ArtifactError(f"{where}: field 'n' is {n}, below 1")
         return cls(percentile=percentile, value=value, calibration_size=n)
@@ -64,15 +64,13 @@ class FlagRecord:
     contributors: tuple[tuple[str, float], ...]  # (feature name, |e_i|), descending
 
 
-def score_matrix(
-    model: AutoencoderModel, scaler: MinMaxScaler, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score raw feature rows at once; returns (scores (n,), residuals (n, d))."""
-    if model.variant != scaler.variant:
-        raise ArtifactError(
-            f"model variant {model.variant!r} does not match scaler {scaler.variant!r}"
-        )
-    Xs = scaler.transform(np.atleast_2d(X))
+def score_matrix(model: AutoencoderModel, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score scaled feature rows at once; returns (scores (n,), residuals (n, d)).
+
+    Xs is MinMaxScaler.transform's output for a scaler that agrees with the
+    model, as load_bundle checks; the raw rows need not be kept alive.
+    """
+    Xs = np.atleast_2d(Xs)
     # the residual overwrites the reconstruction, so no third (n, d) array is made
     X_hat = reconstruct(model, Xs)
     E = np.subtract(Xs, X_hat, out=X_hat)
@@ -209,7 +207,7 @@ def read_report_json(path: str | Path) -> list[FlagRecord]:
     for i, r in enumerate(doc):
         where = f"{path}: record {i}"
         records.append(FlagRecord(
-            sol=get_field(r, "sol", int, where),
+            sol=get_field(r, "sol", strict_int, where),
             start_t=get_field(r, "start_t", _finite_float, where),
             score=get_field(r, "score", _finite_float, where),
             threshold=get_field(r, "threshold", _finite_float, where),

@@ -40,6 +40,18 @@ def read_json(path, error: type[PipelineError] = ArtifactError):
         raise error(f"cannot read {path}: {exc}") from exc
 
 
+def strict_int(value) -> int:
+    """A JSON integer as an int: whole-valued numbers pass, a bool or a fraction raises.
+
+    int() alone would truncate 1.5 and read true as 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def get_field(doc, key: str, convert, where: str, error: type[PipelineError] = ArtifactError):
     """convert(doc[key]); a missing or unconvertible value raises `error` naming `where` and `key`."""
     try:

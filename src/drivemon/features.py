@@ -8,6 +8,7 @@ leaving 301. Feature order is fixed: index = channel_index * 7 + stat_index.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,8 +96,12 @@ class FeatureMask:
         return [str(f) for f in self.kept]
 
 
+@functools.cache
 def feature_mask(variant: str) -> FeatureMask:
-    """Build the canonical mask for a variant ("prime" keeps all 322 features)."""
+    """The canonical mask for a variant ("prime" keeps all 322 features).
+
+    Built once per variant and shared: the mask is frozen and its indices read-only.
+    """
     ids = _all_feature_ids()
     if variant == PRIME:
         kept = ids
@@ -234,7 +239,9 @@ class MinMaxScaler:
         if x.shape[-1] != len(self):
             raise DataError(f"expected {len(self)} features, got {x.shape[-1]}")
         span = np.where(self.constant_, 1.0, self.max_ - self.min_)
-        out = (x - self.min_) / span
+        # one output array, divided in place: no temporary as large as x
+        out = np.subtract(x, self.min_)
+        out /= span
         if np.any(self.constant_):
             out[..., self.constant_] = 0.0
         return out

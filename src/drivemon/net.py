@@ -22,9 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, DataError, TrainingError, get_field, read_json
+from .errors import ArtifactError, DataError, TrainingError, get_field, read_json, strict_int
 
 ACTIVATIONS = ("linear", "sigmoid")
+
+#: Rows per sigmoid call in _layer; a training batch is one block.
+SIGMOID_BLOCK_ROWS = 1024
 
 #: dims are [input, layer1..layer6 widths]; symmetric with a strict bottleneck.
 ARCHITECTURES = {
@@ -159,7 +162,11 @@ def _layer(model: AutoencoderModel, l: int, a: np.ndarray, out: np.ndarray) -> n
     np.matmul(a, model.weights[l].T, out=out)
     out += model.biases[l]
     if model.activations[l] == "sigmoid":
-        sigmoid(out, out=out)
+        # elementwise, so a block of rows at a time gives the same bits, and
+        # sigmoid's temporaries stay block-sized however many rows are scored
+        for lo in range(0, len(out), SIGMOID_BLOCK_ROWS):
+            block = out[lo:lo + SIGMOID_BLOCK_ROWS]
+            sigmoid(block, out=block)
     return out
 
 
@@ -197,12 +204,15 @@ def forward(
 def reconstruct(model: AutoencoderModel, x) -> np.ndarray:
     """The network's output alone, bit for bit forward's; (d,) or (n, d) like x.
 
-    Each layer's activations are dropped once the next layer is computed, so
-    at most two layers are held at a time.
+    The layers write by turns into two buffers sized for the widest layer, so
+    at most two layers are held at a time, always in the same two allocations.
     """
     a, squeeze = _input_rows(model, x)
+    n = len(a)
+    size = n * max(model.dims[1:])
+    buffers = np.empty(size), np.empty(size)
     for l, width in enumerate(model.dims[1:]):
-        a = _layer(model, l, a, np.empty((len(a), width)))
+        a = _layer(model, l, a, buffers[l % 2][:n * width].reshape(n, width))
     return a[0] if squeeze else a
 
 
@@ -383,8 +393,9 @@ def train(
     perm = rng.permutation(n)
     n_val = min(max(1, round(n * config.validation_fraction)), n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    X_val, X_train = X[val_idx], X[train_idx]
-    n_train, d = X_train.shape
+    # batches are gathered from X itself, so no copy of the training rows is held
+    X_val = X[val_idx]
+    n_train, d = len(train_idx), X.shape[1]
 
     grads = np.empty_like(model.params)
     state = AdamState.for_params([model.params])
@@ -405,10 +416,10 @@ def train(
     report = TrainReport()
     step = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(n_train)
+        rows = train_idx[rng.permutation(n_train)]
         sse = 0.0
         for b0 in range(0, n_train, config.batch_size):
-            batch = X_train[order[b0:b0 + config.batch_size]]
+            batch = X[rows[b0:b0 + config.batch_size]]
             acts, residual, loss = batch_loss(batch)
             if not np.isfinite(loss):
                 raise TrainingError(
@@ -481,7 +492,7 @@ def load_model(path: str | Path) -> AutoencoderModel:
                             "base64) are an older model format that is no longer read; "
                             f"retrain the model to write {params_path.name}")
     variant = get_field(doc, "variant", str, where)
-    dims = get_field(doc, "dims", lambda v: tuple(int(d) for d in v), where)
+    dims = get_field(doc, "dims", lambda v: tuple(map(strict_int, v)), where)
     activations = get_field(doc, "activations", tuple, where)
     digest = get_field(doc, "params_sha256", str, where)
     try:

@@ -35,7 +35,9 @@ def _featurize(data, spec: features.WindowSpec, variant: str):
     mask = features.feature_mask(variant)
     # huge but finite telemetry can overflow here; the check below reports where
     with np.errstate(over="ignore", invalid="ignore"):
-        X, start_t, sol = features.feature_matrix(derive.derive_stream(stream), spec, mask)
+        derived = derive.derive_stream(stream)
+        del stream  # the raw channels are all in the derived stream
+        X, start_t, sol = features.feature_matrix(derived, spec, mask)
     if X.shape[0] == 0:
         raise DataError(f"{data}: no complete {spec.window_s} s windows in stream")
     bad = np.flatnonzero(~np.isfinite(X))
@@ -86,8 +88,10 @@ def fit_pipeline(data, artifacts, variant: str, config: net.TrainConfig,
     """
     X, _, _ = _featurize(data, spec, variant)
     scaler = features.fit_scaler(X, variant=variant)
+    # rebinding X frees the raw features before training starts
+    X = scaler.transform(X)
     model = net.build_model(variant, seed=config.rng_seed)
-    model, report = net.train(model, scaler.transform(X), config)
+    model, report = net.train(model, X, config)
     artifacts = Path(artifacts)
     artifacts.mkdir(parents=True, exist_ok=True)
     net.save_model(model, artifacts / MODEL_FILE)
@@ -109,7 +113,8 @@ def calibrate_pipeline(data, artifacts, percentile: float = 99.9,
     artifacts = Path(artifacts)
     model, scaler, spec = load_bundle(artifacts, stride_s)
     X, start_t, sol = _featurize(data, spec, model.variant)
-    scores, _ = detect.score_matrix(model, scaler, X)
+    X = scaler.transform(X)  # the raw features are freed here, before scoring
+    scores, _ = detect.score_matrix(model, X)
     threshold = detect.calibrate(scores, percentile)
     threshold.save(artifacts / THRESHOLD_FILE)
     detect.write_scores_csv(artifacts / CALIBRATION_SCORES_FILE, scores, start_t, sol)
@@ -131,7 +136,8 @@ def detect_pipeline(data, artifacts, percentile: float | None = None,
         cal_scores, _, _ = detect.read_scores_csv(cal_path)
         threshold = detect.calibrate(cal_scores, percentile)
     X, start_t, sol = _featurize(data, spec, model.variant)
-    scores, E = detect.score_matrix(model, scaler, X)
+    X = scaler.transform(X)
+    scores, E = detect.score_matrix(model, X)
     records = detect.flag(scores, E, start_t, sol, threshold, model.variant)
     detect.write_report_csv(records, artifacts / REPORT_CSV)
     detect.write_report_json(records, artifacts / REPORT_JSON)

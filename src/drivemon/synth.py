@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,16 +99,19 @@ class AnomalyEvent:
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise DataError(f"unknown anomaly kind {self.kind!r}")
-        if self.severity <= 0:
-            raise DataError("severity must be > 0")
+        # written so that NaN fails: every comparison with NaN is false
+        if not 0.0 < self.severity < math.inf:
+            raise DataError(f"field 'severity' is {self.severity}; it must be finite and > 0")
+        if not math.isfinite(self.t0):
+            raise DataError(f"field 't0' is {self.t0}; it must be finite")
         if self.kind in WHEEL_KINDS:
             if self.wheel not in WHEELS:
                 raise DataError(f"{self.kind} requires a wheel from {WHEELS}")
         elif self.wheel is not None:
             raise DataError(f"{self.kind} does not target a single wheel")
         resolved = DEFAULT_DURATION_S[self.kind] if self.duration_s is None else self.duration_s
-        if resolved <= 0:
-            raise DataError("event duration must be > 0")
+        if not 0.0 < resolved < math.inf:
+            raise DataError(f"field 'duration' is {resolved}; it must be finite and > 0")
         object.__setattr__(self, "duration_s", float(resolved))
 
     @property

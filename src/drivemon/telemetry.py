@@ -11,7 +11,6 @@ mission day, constant or increasing within a file.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -152,27 +151,40 @@ def read_stream(path: str | Path) -> TelemetryStream:
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.readline()
-        body = fh.read()
-    if not head:
-        raise SchemaError(f"{path}: file is empty, expected header")
-    _check_header(path, next(csv.reader([head.decode("utf-8", errors="replace")])))
-    if not body:
-        raise DataError(f"{path}: empty stream")
-    n_rows = body.count(b"\n") + (not body.endswith(b"\n"))
-    try:
-        with warnings.catch_warnings():
-            # a body of blank lines parses to no rows; the shape check reports it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = _parse_rows(io.BytesIO(body))
-    except ValueError:
-        raise _row_fault(path, body) from None
+        if not head:
+            raise SchemaError(f"{path}: file is empty, expected header")
+        _check_header(path, next(csv.reader([head.decode("utf-8", errors="replace")])))
+        body_start = fh.tell()
+        n_rows = _count_lines(fh)
+        if n_rows == 0:
+            raise DataError(f"{path}: empty stream")
+        # the parser reads the lines from the file, so the body is never held as bytes
+        fh.seek(body_start)
+        try:
+            with warnings.catch_warnings():
+                # a body of blank lines parses to no rows; the shape check reports it
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                table = _parse_rows(fh)
+        except ValueError:
+            raise _row_fault(path) from None
     # loadtxt skips blank lines, so a row count short of the line count is a fault
     if table.shape != (n_rows, len(CSV_HEADER)):
-        raise _row_fault(path, body)
+        raise _row_fault(path)
     try:
         return TelemetryStream(t=table[:, 0], sol=table[:, 1], values=table[:, 2:])
     except DataError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def _count_lines(fh) -> int:
+    """Lines from fh's position to its end, read 1 MiB at a time; the last line
+    counts without its line ending."""
+    n, last = 0, b"\n"
+    while chunk := fh.read(1 << 20):
+        n += chunk.count(b"\n")
+        last = chunk[-1:]
+    return n + (last != b"\n")
 
 
 def _parse_rows(source) -> np.ndarray:
@@ -180,24 +192,24 @@ def _parse_rows(source) -> np.ndarray:
     return np.loadtxt(source, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
 
 
-def _row_fault(path: Path, body: bytes) -> DataError:
-    """The DataError naming the first data row of `body` that does not parse.
+def _row_fault(path: Path) -> DataError:
+    """The DataError naming the first data row of the file that does not parse.
 
-    Diagnoses a failed table parse line by line with the same parser, so both
-    agree on the grammar; it never returns data.
+    Re-reads the file to diagnose a failed table parse line by line with the
+    same parser, so both agree on the grammar; it never returns data.
     """
-    lines = body.split(b"\n")
-    if lines[-1] == b"":
-        lines.pop()
-    for i, line in enumerate(lines):
-        line = line.removesuffix(b"\r")
-        n_cells = line.count(b",") + 1 if line else 0
-        if n_cells != len(CSV_HEADER):
-            return DataError(f"{path}: row {i} has {n_cells} cells, expected {len(CSV_HEADER)}")
-        try:
-            _parse_rows([line])
-        except ValueError:
-            return DataError(f"{path}: unparsable cell at row {i}")
+    with open(path, "rb") as fh:
+        fh.readline()
+        for i, line in enumerate(fh):
+            line = line.removesuffix(b"\n").removesuffix(b"\r")
+            n_cells = line.count(b",") + 1 if line else 0
+            if n_cells != len(CSV_HEADER):
+                return DataError(f"{path}: row {i} has {n_cells} cells, "
+                                 f"expected {len(CSV_HEADER)}")
+            try:
+                _parse_rows([line])
+            except ValueError:
+                return DataError(f"{path}: unparsable cell at row {i}")
     return DataError(f"{path}: unparsable table")
 
 

@@ -60,6 +60,19 @@ def test_generate_usage_errors(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--train-s", "nan"), ("--train-s", "inf"), ("--test-s", "nan"), ("--test-s", "inf"),
+    ("--severity", "nan"), ("--severity", "inf"),
+])
+def test_generate_non_finite_flag_is_a_usage_error(tmp_path, capsys, flag, value):
+    """A NaN or infinite length or severity exits 2 before anything is generated."""
+    with pytest.raises(SystemExit) as exc:
+        run("generate", "--out", tmp_path / "out", flag, value)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_artifacts(trained_dir):
     model = load_model(trained_dir / "model.json")
     assert model.dims == (322, 322, 182, 143, 143, 182, 322)
@@ -247,6 +260,26 @@ def test_evaluate_flag_outside_events_counts_fp(tmp_path):
     assert metrics["overall_recall"] == 1.0
 
 
+@pytest.mark.parametrize("field,value", [
+    ("t0", float("nan")), ("t0", float("inf")), ("duration", float("nan")),
+    ("duration", float("inf")), ("severity", float("nan")), ("severity", float("-inf")),
+])
+def test_evaluate_non_finite_label_exits_3(tmp_path, capsys, field, value):
+    """A NaN or infinite event time, duration or severity is refused, not scored."""
+    art = tmp_path / "art"
+    art.mkdir()
+    (art / "report.json").write_text("[]\n")
+    (art / "scores.csv").write_text("sol,start_t,score\n1,0.0,0.1\n")
+    event = {"kind": "MTSC", "t0": 1.0, "duration": 1.5, "wheel": "LF", "severity": 1.0}
+    event[field] = value
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps([event]))  # json writes NaN and Infinity
+    assert run("evaluate", "--artifacts", art, "--labels", labels) == 3
+    err = capsys.readouterr().err
+    assert "labels.json: event 0" in err and f"'{field}'" in err and "Traceback" not in err
+    assert not (art / "metrics.json").exists()
+
+
 def test_evaluate_missing_inputs(tmp_path):
     assert run("evaluate", "--artifacts", tmp_path,
                "--labels", tmp_path / "labels.json") == 3
@@ -369,6 +402,12 @@ def _report_with(field, value):
     ("evaluate", "report.json", _report_with("threshold", float("-inf")), 4),
     ("evaluate", "report.json", _report_with("magnitude", float("nan")), 4),
     ("evaluate", "report.json", _report_with("sol", float("inf")), 4),
+    ("evaluate", "report.json", _report_with("sol", 1.5), 4),
+    ("evaluate", "report.json", _report_with("sol", True), 4),
+    ("detect", "threshold.json", '{"percentile": 99.9, "value": 1.0, "n": 1.5}', 4),
+    ("detect", "threshold.json", '{"percentile": 99.9, "value": 1.0, "n": true}', 4),
+    ("detect", "model.json", lambda doc: doc.replace('"dims": [322,', '"dims": [322.5,'), 4),
+    ("detect", "model.json", lambda doc: doc.replace('"dims": [322,', '"dims": [true,'), 4),
     ("detect", "model.json", None, 4),
     ("detect", "scaler.json", None, 4),
     ("detect", "threshold.json", None, 4),
@@ -376,6 +415,8 @@ def _report_with(field, value):
         "threshold-percentile-150", "threshold-percentile-0", "threshold-n-0",
         "scores-nan", "scores-start-inf", "report-start-nan", "report-score-inf",
         "report-threshold-minus-inf", "report-magnitude-nan", "report-sol-inf",
+        "report-sol-fraction", "report-sol-bool", "threshold-n-fraction", "threshold-n-bool",
+        "model-dims-fraction", "model-dims-bool",
         "model-missing", "scaler-missing", "threshold-missing"])
 def test_malformed_input_exit_code(tmp_path, data_dir, trained_dir, capsys,
                                    command, name, content, code):
@@ -389,6 +430,8 @@ def test_malformed_input_exit_code(tmp_path, data_dir, trained_dir, capsys,
     (art / "labels.json").write_text("[]\n")
     if content is None:
         (art / name).unlink()
+    elif callable(content):  # an edit of the trained file
+        (art / name).write_text(content((art / name).read_text()))
     else:
         (art / name).write_text(content)
     if command == "detect":

@@ -40,7 +40,7 @@ def unit_scaler(d, variant="custom"):
 def test_one_norm_example():
     model = identity_model(3)
     model.weights[0][...] = np.zeros((3, 3))  # reconstructs 0, so the residual is x
-    scores, E = score_matrix(model, unit_scaler(3), np.array([0.1, -0.2, 0.3]))
+    scores, E = score_matrix(model, unit_scaler(3).transform(np.array([0.1, -0.2, 0.3])))
     assert np.array_equal(E, [[0.1, -0.2, 0.3]])
     assert scores[0] == pytest.approx(0.6, abs=1e-15)
 
@@ -49,7 +49,7 @@ def test_perfect_reconstruction_scores_zero():
     model = identity_model(6)
     scaler = unit_scaler(6)
     X = np.array([[0.1, 0.9, 0.5, 0.2, 0.7, 0.3], [0.4, 0.0, 1.0, 0.6, 0.8, 0.5]])
-    scores, E = score_matrix(model, scaler, X)
+    scores, E = score_matrix(model, scaler.transform(X))
     assert np.array_equal(scores, np.zeros(2))
     assert np.array_equal(E, np.zeros((2, 6)))
 
@@ -57,16 +57,9 @@ def test_perfect_reconstruction_scores_zero():
 def test_scores_nonnegative(rng):
     model = identity_model(8)
     model.weights[0][...] = rng.standard_normal((8, 8))
-    scores, _ = score_matrix(model, unit_scaler(8), rng.standard_normal((20, 8)))
+    scores, _ = score_matrix(model, unit_scaler(8).transform(rng.standard_normal((20, 8))))
     assert scores.shape == (20,)
     assert np.all(scores >= 0.0)
-
-
-def test_score_variant_mismatch():
-    model = identity_model(6, variant="prime")
-    scaler = unit_scaler(6, variant="refined")
-    with pytest.raises(ArtifactError):
-        score_matrix(model, scaler, np.zeros((2, 6)))
 
 
 def test_score_matrix_matches_score(rng):
@@ -74,9 +67,9 @@ def test_score_matrix_matches_score(rng):
     model.weights[0][...] = rng.standard_normal((5, 5)) * 0.3
     scaler = MinMaxScaler("custom", -np.ones(5), np.ones(5) * 2.0)
     X = rng.standard_normal((10, 5))
-    scores, E = score_matrix(model, scaler, X)
+    scores, E = score_matrix(model, scaler.transform(X))
     for i in range(10):
-        one_score, one_e = score_matrix(model, scaler, X[i])
+        one_score, one_e = score_matrix(model, scaler.transform(X[i]))
         npt.assert_allclose(scores[i], one_score[0], rtol=0, atol=1e-12)
         # batched GEMM and single-vector GEMV may differ by an ulp
         npt.assert_allclose(E[i], one_e[0], rtol=0, atol=1e-12)
@@ -88,7 +81,7 @@ def test_score_matrix_rejects_non_finite_scores():
     X = np.zeros((3, 4))
     X[1, 1] = 10.0  # only window 1 overflows to an infinite reconstruction
     with np.errstate(over="ignore"), pytest.raises(ArtifactError, match="window 1"):
-        score_matrix(model, unit_scaler(4), X)
+        score_matrix(model, unit_scaler(4).transform(X))
 
 
 def prime_rows(n, seed=0):
@@ -105,7 +98,7 @@ def test_score_matrix_bitwise_matches_forward(n):
     model, scaler, X = prime_rows(n, seed=n)
     Xs = scaler.transform(X)
     E_ref = Xs - forward(model, Xs)[0]
-    scores, E = score_matrix(model, scaler, X)
+    scores, E = score_matrix(model, Xs)
     assert E.tobytes() == E_ref.tobytes()
     assert scores.tobytes() == np.sum(np.abs(E_ref), axis=1).tobytes()
 
@@ -115,7 +108,7 @@ def test_score_matrix_memory_is_bounded_by_two_layers():
     model, scaler, X = prime_rows(2000)
     tracemalloc.start()
     try:
-        _, E = score_matrix(model, scaler, X)
+        _, E = score_matrix(model, scaler.transform(X))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -279,6 +272,24 @@ def test_report_json_rejects_non_finite(tmp_path, field, value):
     match = f"report.json: record 1: bad value in field '{field}'"
     with pytest.raises(ArtifactError, match=match):
         read_report_json(path)
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1"], ids=["fraction", "bool", "text"])
+def test_integer_fields_refuse_non_integers(tmp_path, value):
+    """report.json sol and threshold.json n are whole numbers; int() would truncate 1.5
+    and read true as 1."""
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps([{"sol": value, "start_t": 0.0, "score": 9.0,
+                                   "threshold": 1.0, "contributors": []}]))
+    with pytest.raises(ArtifactError, match="report.json: record 0: bad value in field 'sol'"):
+        read_report_json(report)
+    threshold = tmp_path / "threshold.json"
+    threshold.write_text(json.dumps({"percentile": 99.9, "value": 1.0, "n": value}))
+    with pytest.raises(ArtifactError, match="threshold.json: bad value in field 'n'"):
+        Threshold.load(threshold)
+    # a whole number written as a float is still an integer
+    threshold.write_text(json.dumps({"percentile": 99.9, "value": 1.0, "n": 117.0}))
+    assert Threshold.load(threshold).calibration_size == 117
 
 
 def test_scores_csv_roundtrip(tmp_path):

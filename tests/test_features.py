@@ -152,6 +152,15 @@ def test_masks():
         feature_mask("bogus")
 
 
+def test_masks_are_built_once_and_read_only():
+    for variant in ("prime", "refined"):
+        mask = feature_mask(variant)
+        assert feature_mask(variant) is mask
+        assert not mask.indices.flags.writeable
+        with pytest.raises(AttributeError):
+            mask.variant = "prime"
+
+
 def test_featurize_lengths_and_zero_window():
     stream = derived(32, seed=4)
     assert feature_matrix(stream, WindowSpec(), feature_mask("prime"))[0].shape == (1, 322)

@@ -1,6 +1,7 @@
 import base64
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,33 @@ def test_reconstruct_bitwise_matches_forward():
         reconstruct(model, np.zeros(322))
 
 
+def test_reconstruct_blocks_give_the_whole_array_bits():
+    """2 500 rows run sigmoid in three blocks, the last one ragged; the bits are those
+    of each layer evaluated on the whole array at once."""
+    model = build_model("prime", seed=5)
+    X = np.random.default_rng(5).random((2500, 322))
+    a = X
+    for W, b, act in zip(model.weights, model.biases, model.activations):
+        a = np.matmul(a, W.T) + b
+        if act == "sigmoid":
+            a = sigmoid(a)
+    assert reconstruct(model, X).tobytes() == a.tobytes()
+
+
+def test_reconstruct_memory_is_two_buffers():
+    """Two output-sized buffers and block-sized sigmoid temporaries: under 2.15x the
+    output for 6 000 rows, where whole-array sigmoid temporaries would pass 2.2x."""
+    model = build_model("prime", seed=3)
+    X = np.random.default_rng(0).random((6000, 322))
+    tracemalloc.start()
+    try:
+        out = reconstruct(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.15 * out.nbytes, f"peak {peak / 1e6:.1f} MB for {out.nbytes / 1e6:.1f} MB"
+
+
 def test_encode_hits_bottleneck():
     model = build_model("prime", seed=0)
     h = encode(model, np.zeros(322))
@@ -345,6 +373,20 @@ def test_train_bitwise_matches_reference_loop():
     assert report.val_losses == ref_val
 
 
+def test_train_memory_holds_no_copy_of_the_training_rows():
+    """Batches are gathered from X itself: the peak stays under 3.5x X (a copy of the
+    training rows alone would add 0.8x)."""
+    X = np.random.default_rng(3).random((4000, 322))
+    model = build_model("prime", seed=1)
+    tracemalloc.start()
+    try:
+        train(model, X, TrainConfig(rng_seed=1, epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * X.nbytes, f"peak {peak / 1e6:.1f} MB for a {X.nbytes / 1e6:.1f} MB X"
+
+
 def test_train_no_overfit_on_nominal_data():
     # 200-epoch run on a modest nominal set: validation tracks training
     X = _nominal_feature_matrix(duration_s=600.0, seed=2)
@@ -433,6 +475,17 @@ def test_load_rejects_inconsistent_shapes(tmp_path):
     dims[1] = 99
     _rewrite(path, dims=dims)
     with pytest.raises(ArtifactError, match="model.json: params holds 1712 bytes, but dims"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("bad", [6.5, True], ids=["fraction", "bool"])
+def test_load_rejects_non_integer_dims(tmp_path, bad):
+    path = tmp_path / "model.json"
+    save_model(toy_model(0), path)
+    dims = list(TOY_DIMS)
+    dims[1] = bad
+    _rewrite(path, dims=dims)
+    with pytest.raises(ArtifactError, match="model.json: bad value in field 'dims'"):
         load_model(path)
 
 

@@ -25,3 +25,4 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
         assert (art / name).exists()
     assert namespace["metrics"] == json.loads((art / "metrics.json").read_text())
     assert namespace["metrics"]["events_total"] == 3
+    assert namespace["layer_scores"].tobytes() == namespace["scores"].tobytes()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,20 @@ def test_event_validation():
         AnomalyEvent(kind="Meteor", t0=10.0)
     with pytest.raises(DataError):
         AnomalyEvent(kind="RockDrop", t0=10.0, severity=0.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("t0", float("nan")), ("t0", float("inf")), ("duration", float("nan")),
+    ("duration", float("inf")), ("duration", 0.0), ("severity", float("nan")),
+    ("severity", float("inf")), ("severity", -1.0),
+])
+def test_labels_refuse_non_finite_or_non_positive(tmp_path, field, value):
+    """NaN passes a `<= 0` check; each bad event is refused, naming the event and the field."""
+    good = {"kind": "RockDrop", "t0": 10.0, "duration": 3.0, "wheel": None, "severity": 1.0}
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps([good, {**good, "t0": 20.0, field: value}]))
+    with pytest.raises(DataError, match=f"labels.json: event 1: field '{field}' is"):
+        read_labels(path)
 
 
 def test_make_dataset_no_events_is_nominal():
