@@ -98,6 +98,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 
 def cmd_generate(args, parser: argparse.ArgumentParser) -> None:
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     # each range is written so that NaN fails it
     if not (4.0 <= args.train_s < math.inf and 4.0 <= args.test_s < math.inf):
         parser.error("--train-s and --test-s must be finite and at least 4 (one full window)")

@@ -53,8 +53,8 @@ def derived_index(channel: str) -> int:
     return DERIVED_CHANNELS.index(channel)
 
 
-def power(current: float, voltage: float) -> float:
-    """Electrical power of one drive actuator (signed; IEEE multiply)."""
+def power(current, voltage):
+    """Electrical power of drive actuators (signed; IEEE multiply, elementwise on arrays)."""
     return current * voltage
 
 
@@ -67,15 +67,15 @@ def mean_over_wheels(values) -> float:
 
 
 def deviation(values) -> np.ndarray:
-    """Per-wheel absolute deviation from the six-wheel mean.
+    """Per-wheel absolute deviation from the six-wheel mean, along the last axis.
 
-    Serves both the current deviation and the power deviation, which share
-    this form.
+    Takes one frame (6,) or many (..., 6). Serves both the current deviation
+    and the power deviation, which share this form.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (len(WHEELS),):
-        raise DataError(f"expected {len(WHEELS)} values, got shape {values.shape}")
-    return np.abs(values - np.mean(values))
+    if values.shape[-1:] != (len(WHEELS),):
+        raise DataError(f"expected {len(WHEELS)} values per frame, got shape {values.shape}")
+    return np.abs(values - values.mean(axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -109,18 +109,11 @@ def derive_stream(stream: TelemetryStream) -> DerivedStream:
     currents = stream.values[:, 0:6]
     rates = stream.values[:, 6:12]
     voltages = stream.values[:, 12:18]
-    powers = currents * voltages
-    cdev = np.abs(currents - currents.mean(axis=1, keepdims=True))
-    pdev = np.abs(powers - powers.mean(axis=1, keepdims=True))
-
+    powers = power(currents, voltages)
     out = np.empty((len(stream), N_DERIVED), dtype=np.float64)
-    for wi in range(len(WHEELS)):
-        base = wi * len(WHEEL_SIGNALS)
-        out[:, base + 0] = currents[:, wi]
-        out[:, base + 1] = cdev[:, wi]
-        out[:, base + 2] = rates[:, wi]
-        out[:, base + 3] = voltages[:, wi]
-        out[:, base + 4] = powers[:, wi]
-        out[:, base + 5] = pdev[:, wi]
+    # wheel w's k-th signal in WHEEL_SIGNALS order is column 6*w + k
+    for k, signal in enumerate((currents, deviation(currents), rates, voltages, powers,
+                                deviation(powers))):
+        out[:, k:36:6] = signal
     out[:, 36:] = stream.values[:, 18:]
-    return DerivedStream(t=stream.t.copy(), sol=stream.sol.copy(), values=out)
+    return DerivedStream(t=stream.t, sol=stream.sol, values=out)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, DataError, get_field, read_json, strict_int
+from .errors import ArtifactError, DataError, get_field, read_json, strict_float, strict_int
 from .features import feature_mask
 from .net import AutoencoderModel, reconstruct
 
@@ -40,10 +40,8 @@ class Threshold:
     @classmethod
     def load(cls, path: str | Path) -> "Threshold":
         doc, where = read_json(path), str(path)
-        value = get_field(doc, "value", float, where)
-        if not math.isfinite(value):
-            raise ArtifactError(f"{where}: threshold value {value} is not finite")
-        percentile = get_field(doc, "percentile", float, where)
+        value = get_field(doc, "value", strict_float, where)
+        percentile = get_field(doc, "percentile", strict_float, where)
         if not 0.0 < percentile < 100.0:
             raise ArtifactError(f"{where}: field 'percentile' is {percentile}, "
                                 "outside (0, 100)")
@@ -208,12 +206,12 @@ def read_report_json(path: str | Path) -> list[FlagRecord]:
         where = f"{path}: record {i}"
         records.append(FlagRecord(
             sol=get_field(r, "sol", strict_int, where),
-            start_t=get_field(r, "start_t", _finite_float, where),
-            score=get_field(r, "score", _finite_float, where),
-            threshold=get_field(r, "threshold", _finite_float, where),
+            start_t=get_field(r, "start_t", strict_float, where),
+            score=get_field(r, "score", strict_float, where),
+            threshold=get_field(r, "threshold", strict_float, where),
             contributors=tuple(
                 (get_field(c, "feature", str, where),
-                 get_field(c, "magnitude", _finite_float, where))
+                 get_field(c, "magnitude", strict_float, where))
                 for c in get_field(r, "contributors", list, where)
             ),
         ))
@@ -229,6 +227,7 @@ def write_scores_csv(path: str | Path, scores: np.ndarray, start_t, sol) -> None
 
 
 def _finite_float(v) -> float:
+    """A CSV text cell as a finite float."""
     x = float(v)
     if not math.isfinite(x):
         raise ValueError(f"{v!r} is not finite")

@@ -5,6 +5,7 @@ ordering, training blow-ups) exit 3, artifact mismatches exit 4.
 """
 
 import json
+import math
 from pathlib import Path
 
 
@@ -50,6 +51,19 @@ def strict_int(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def strict_float(value) -> float:
+    """A finite JSON number as a float: integers pass, a bool, a string or NaN/inf raises.
+
+    float() alone would read true as 1.0 and "1.0" as 1.0.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return value
 
 
 def get_field(doc, key: str, convert, where: str, error: type[PipelineError] = ArtifactError):

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .derive import DERIVED_CHANNELS, DerivedStream, channel_display
-from .errors import ArtifactError, DataError, get_field, read_json
+from .errors import ArtifactError, DataError, get_field, read_json, strict_float
 from .telemetry import SAMPLE_RATE_HZ, is_frame_aligned
 
 #: Statistic names in canonical order. `index = channel*7 + stat` depends on it.
@@ -256,7 +256,7 @@ class MinMaxScaler:
         doc, where = read_json(path), str(path)
 
         def floats(v):
-            return np.asarray(v, dtype=np.float64)
+            return np.array([strict_float(x) for x in v])
 
         try:
             return cls(get_field(doc, "variant", str, where),

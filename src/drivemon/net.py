@@ -342,6 +342,8 @@ class TrainConfig:
     validation_fraction: float = 0.2
 
     def __post_init__(self):
+        if self.rng_seed < 0:
+            raise DataError("rng_seed must be >= 0")
         if self.epochs < 1:
             raise DataError("epochs must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:

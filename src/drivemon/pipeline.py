@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import derive, detect, features, net, synth, telemetry
-from .errors import ArtifactError, DataError, get_field, read_json
+from .errors import ArtifactError, DataError, get_field, read_json, strict_float
 
 MODEL_FILE = "model.json"
 SCALER_FILE = "scaler.json"
@@ -49,13 +49,13 @@ def _featurize(data, spec: features.WindowSpec, variant: str):
 
 
 def _read_window_spec(artifacts: Path) -> features.WindowSpec:
-    """The window geometry recorded in pipeline.json; 4 s windows at a 1 s stride if absent."""
+    """The window geometry that fit recorded in pipeline.json; both fields are required."""
     path = artifacts / PIPELINE_FILE
-    doc = read_json(path) if path.exists() else {}
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ArtifactError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    window_s = get_field(doc, "window_s", float, str(path)) if "window_s" in doc else 4.0
-    stride_s = get_field(doc, "stride_s", float, str(path)) if "stride_s" in doc else 1.0
+    window_s = get_field(doc, "window_s", strict_float, str(path))
+    stride_s = get_field(doc, "stride_s", strict_float, str(path))
     try:
         return features.WindowSpec(window_s=window_s, stride_s=stride_s)
     except DataError as exc:

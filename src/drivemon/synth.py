@@ -1,6 +1,6 @@
 """Seeded synthetic telemetry: nominal straight drives plus injected anomalies.
 
-Signal magnitudes are generator defaults chosen so injected events separate
+Signal magnitudes are module constants chosen so injected events separate
 cleanly (several sigma) from nominal sensor noise; they are not calibrated
 against any real vehicle. Five anomaly archetypes are supported:
 
@@ -11,13 +11,12 @@ against any real vehicle. Five anomaly archetypes are supported:
 - IntenseTerrain: one wheel's current surges while its rate collapses and the
   suspension oscillates.
 
-Injection is pure superposition on copies: outside the event interval every
-channel is bit-identical to the nominal stream.
+Injection is pure superposition: outside the event interval every channel
+is bit-identical to the nominal stream.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -25,14 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, get_field, read_json
+from .errors import DataError, get_field, read_json, strict_float
 from .telemetry import (
     FRAME_DT_S,
     SAMPLE_RATE_HZ,
+    SENSOR_CHANNELS,
     WHEELS,
     TelemetryStream,
     channel_index,
-    stream_from_channels,
     uniform_time_axis,
 )
 
@@ -49,41 +48,36 @@ DEFAULT_DURATION_S = {
 }
 
 
+# Nominal signal magnitudes, the same for every drive.
+BASE_CURRENT_A = 0.5
+#: Fixed per-wheel offsets on the base current, in WHEELS order.
+WHEEL_CURRENT_OFFSETS_A = (0.02, -0.015, 0.01, -0.02, 0.025, -0.01)
+CURRENT_NOISE_A = 0.02
+BUS_VOLTAGE_V = 28.0
+VOLTAGE_NOISE_V = 0.05
+WHEEL_RATE_RAD_S = 0.6
+RATE_NOISE_RAD_S = 0.01
+ACCEL_XY_NOISE_MS2 = 0.05
+ACCEL_Z_NOISE_MS2 = 0.08
+ROT_NOISE_RAD_S = 0.005
+SUSPENSION_STEP_RAD = 1e-4
+SUSPENSION_CLAMP_RAD = 0.15
+# weak pull toward zero keeps the walk stationary, so a fresh seed's
+# suspension envelope matches the training envelope
+SUSPENSION_REVERSION = 0.01
+
+
 @dataclass(frozen=True)
 class NominalProfile:
-    """Nominal straight-drive magnitudes; every field is configurable."""
+    """A nominal straight drive's length and mission day."""
 
     duration_s: float
     sol: int = 1000
-    base_current_a: float = 0.5
-    #: Fixed per-wheel offsets on the base current, each within +-0.05 A.
-    wheel_current_offsets_a: tuple[float, ...] = (0.02, -0.015, 0.01, -0.02, 0.025, -0.01)
-    current_noise_a: float = 0.02
-    bus_voltage_v: float = 28.0
-    voltage_noise_v: float = 0.05
-    wheel_rate_rad_s: float = 0.6
-    rate_noise_rad_s: float = 0.01
-    accel_xy_noise_ms2: float = 0.05
-    accel_z_noise_ms2: float = 0.08
-    rot_noise_rad_s: float = 0.005
-    suspension_step_rad: float = 1e-4
-    suspension_clamp_rad: float = 0.15
-    # weak pull toward zero keeps the walk stationary, so a fresh seed's
-    # suspension envelope matches the training envelope
-    suspension_reversion: float = 0.01
 
     def __post_init__(self):
-        if self.duration_s < 4.0:
-            raise DataError("duration must be at least one 4 s window")
-        if len(self.wheel_current_offsets_a) != len(WHEELS):
-            raise DataError("need one current offset per wheel")
-        if max(abs(o) for o in self.wheel_current_offsets_a) > 0.05:
-            raise DataError("wheel current offsets must stay within +-0.05 A")
-        for name in ("current_noise_a", "voltage_noise_v", "rate_noise_rad_s",
-                     "accel_xy_noise_ms2", "accel_z_noise_ms2", "rot_noise_rad_s",
-                     "suspension_step_rad"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} must be >= 0")
+        # written so that NaN fails: every comparison with NaN is false
+        if not 4.0 <= self.duration_s < math.inf:
+            raise DataError("duration must be finite and at least one 4 s window")
 
 
 @dataclass(frozen=True)
@@ -146,10 +140,10 @@ def _check_events(events, t_lo: float, t_hi: float) -> None:
         prev_end = ev.end_t
 
 
-def _bounded_walk(rng: np.random.Generator, n: int, profile: NominalProfile) -> np.ndarray:
-    steps = rng.normal(0.0, profile.suspension_step_rad, n)
-    keep = 1.0 - profile.suspension_reversion
-    clamp = profile.suspension_clamp_rad
+def _bounded_walk(rng: np.random.Generator, n: int) -> np.ndarray:
+    steps = rng.normal(0.0, SUSPENSION_STEP_RAD, n)
+    keep = 1.0 - SUSPENSION_REVERSION
+    clamp = SUSPENSION_CLAMP_RAD
     out = np.empty(n)
     x = 0.0
     for k in range(n):
@@ -164,30 +158,36 @@ def _bounded_walk(rng: np.random.Generator, n: int, profile: NominalProfile) -> 
 
 def generate_nominal(profile: NominalProfile, seed) -> TelemetryStream:
     """Nominal 8 Hz straight drive; bit-identical for identical seeds."""
+    return _drive(profile, seed)
+
+
+def _drive(profile: NominalProfile, seed, seeded_events=()) -> TelemetryStream:
+    """A nominal drive plus the signature of each (event, seed) pair.
+
+    Columns are drawn in SENSOR_CHANNELS order. The order of the draws fixes
+    the bits of every generated dataset, so it must not change. The events
+    are superposed on the drawn values themselves, so the drive is built once.
+    """
     n = round(profile.duration_s * SAMPLE_RATE_HZ)
     rng = np.random.default_rng(seed)
-    channels: dict[str, np.ndarray] = {}
-    for w, off in zip(WHEELS, profile.wheel_current_offsets_a):
-        base = profile.base_current_a + off
-        channels[f"current_{w}"] = base + rng.normal(0.0, profile.current_noise_a, n)
-    for w in WHEELS:
-        channels[f"rate_{w}"] = profile.wheel_rate_rad_s + rng.normal(
-            0.0, profile.rate_noise_rad_s, n)
-    for w in WHEELS:
-        channels[f"voltage_{w}"] = profile.bus_voltage_v + rng.normal(
-            0.0, profile.voltage_noise_v, n)
-    channels["accel_X"] = rng.normal(0.0, profile.accel_xy_noise_ms2, n)
-    channels["accel_Y"] = rng.normal(0.0, profile.accel_xy_noise_ms2, n)
-    channels["accel_Z"] = rng.normal(0.0, profile.accel_z_noise_ms2, n)
-    for axis in ("X", "Y", "Z"):
-        channels[f"rot_{axis}"] = rng.normal(0.0, profile.rot_noise_rad_s, n)
-    for name in ("bogie_L", "bogie_R", "diff_L", "diff_R"):
-        channels[name] = _bounded_walk(rng, n, profile)
-    return stream_from_channels(
-        t=uniform_time_axis(n),
-        sol=np.full(n, profile.sol, dtype=np.int64),
-        channels=channels,
-    )
+    values = np.empty((n, len(SENSOR_CHANNELS)))
+    for k, off in enumerate(WHEEL_CURRENT_OFFSETS_A):
+        values[:, k] = (BASE_CURRENT_A + off) + rng.normal(0.0, CURRENT_NOISE_A, n)
+    for k in range(6, 12):
+        values[:, k] = WHEEL_RATE_RAD_S + rng.normal(0.0, RATE_NOISE_RAD_S, n)
+    for k in range(12, 18):
+        values[:, k] = BUS_VOLTAGE_V + rng.normal(0.0, VOLTAGE_NOISE_V, n)
+    # the zero-mean IMU channels are drawn as they are: adding 0.0 would turn
+    # a -0.0 draw into +0.0
+    imu_noise = (ACCEL_XY_NOISE_MS2,) * 2 + (ACCEL_Z_NOISE_MS2,) + (ROT_NOISE_RAD_S,) * 3
+    for k, scale in enumerate(imu_noise, 18):
+        values[:, k] = rng.normal(0.0, scale, n)
+    for k in range(24, 28):
+        values[:, k] = _bounded_walk(rng, n)
+    t = uniform_time_axis(n)
+    for event, event_seed in seeded_events:
+        _superpose(values, t, event, event_seed)
+    return TelemetryStream(t=t, sol=np.full(n, profile.sol, dtype=np.int64), values=values)
 
 
 def _bogie_channel(wheel: str) -> str:
@@ -205,16 +205,22 @@ def _triangle(tau: np.ndarray, duration: float) -> np.ndarray:
 
 
 def inject(stream: TelemetryStream, event: AnomalyEvent, seed) -> TelemetryStream:
-    """Superpose one anomaly signature; untouched samples stay bit-identical."""
+    """Superpose one anomaly signature on a copy; untouched samples stay bit-identical."""
     _check_events((event,), float(stream.t[0]), float(stream.t[-1]) + FRAME_DT_S)
-    idx = np.flatnonzero((stream.t >= event.t0) & (stream.t < event.end_t))
+    values = stream.values.copy()
+    _superpose(values, stream.t, event, seed)
+    return TelemetryStream(t=stream.t, sol=stream.sol, values=values)
+
+
+def _superpose(values: np.ndarray, t: np.ndarray, event: AnomalyEvent, seed) -> None:
+    """Add one anomaly signature to `values` in place, over the frames of t in the event."""
+    idx = np.flatnonzero((t >= event.t0) & (t < event.end_t))
     if len(idx) == 0:
         raise DataError(f"event {event.kind} at t0={event.t0} covers no frames")
     # anchor the waveform phase at the first in-event frame: a 4 Hz tone is at
     # the Nyquist frequency of the 8 Hz grid, so an unanchored sine would
     # sample to zero everywhere
-    tau = np.asarray(stream.t[idx] - stream.t[idx[0]])
-    values = stream.values.copy()
+    tau = t[idx] - t[idx[0]]
     col = channel_index
     sev = event.severity
     rng = np.random.default_rng(seed)
@@ -233,7 +239,7 @@ def inject(stream: TelemetryStream, event: AnomalyEvent, seed) -> TelemetryStrea
         values[idx, col(_bogie_channel(event.wheel))] += 0.08 * sev * tri
     elif event.kind == "HighSlip":
         # Student-t(3) scaled to std 4*severity*nominal current noise
-        t_scale = 4.0 * sev * 0.02 / np.sqrt(3.0)
+        t_scale = 4.0 * sev * CURRENT_NOISE_A / np.sqrt(3.0)
         for k, w in enumerate(WHEELS):
             values[idx, col(f"current_{w}")] += t_scale * rng.standard_t(3, len(idx))
             ripple = 0.04 * sev * np.sin(2.0 * np.pi * 1.5 * tau + k * np.pi / 3.0)
@@ -245,7 +251,6 @@ def inject(stream: TelemetryStream, event: AnomalyEvent, seed) -> TelemetryStrea
         osc = np.sin(2.0 * np.pi * 1.5 * tau + np.pi / 6.0)
         values[idx, col(_bogie_channel(event.wheel))] += 0.05 * sev * tri * osc
         values[idx, col(_diff_channel(event.wheel))] += 0.03 * sev * tri * osc
-    return TelemetryStream(t=stream.t.copy(), sol=stream.sol.copy(), values=values)
 
 
 def make_dataset(
@@ -257,21 +262,17 @@ def make_dataset(
 ) -> tuple[TelemetryStream, LabeledStream]:
     """Clean training stream plus a labeled test stream with injected events.
 
-    Every sub-stream and injection draws from a child of the given seed, so
-    train and test never share noise and the whole dataset is reproducible.
+    The profile gives the training sol; the test drive is the next sol. Every
+    sub-stream and injection draws from a child of the given seed, so train
+    and test never share noise and the whole dataset is reproducible.
     """
-    if profile is None:
-        profile = NominalProfile(duration_s=train_s)
-    else:
-        profile = dataclasses.replace(profile, duration_s=train_s)
+    sol = 1000 if profile is None else profile.sol
     events = sorted(events, key=lambda e: e.t0)
     _check_events(events, 0.0, test_s)
     children = np.random.SeedSequence(seed).spawn(2 + len(events))
-    train = generate_nominal(profile, children[0])
-    test_profile = dataclasses.replace(profile, duration_s=test_s, sol=profile.sol + 1)
-    test = generate_nominal(test_profile, children[1])
-    for i, ev in enumerate(events):
-        test = inject(test, ev, children[2 + i])
+    train = generate_nominal(NominalProfile(duration_s=train_s, sol=sol), children[0])
+    test = _drive(NominalProfile(duration_s=test_s, sol=sol + 1), children[1],
+                  zip(events, children[2:]))
     return train, LabeledStream(stream=test, events=tuple(events))
 
 
@@ -350,10 +351,11 @@ def read_labels(path: str | Path) -> list[AnomalyEvent]:
             raise DataError(f"{where}: expected an object")
         fields = dict(
             kind=get_field(e, "kind", str, where, DataError),
-            t0=get_field(e, "t0", float, where, DataError),
-            duration_s=get_field(e, "duration", float, where, DataError),
+            t0=get_field(e, "t0", strict_float, where, DataError),
+            duration_s=get_field(e, "duration", strict_float, where, DataError),
             wheel=e.get("wheel"),
-            severity=get_field(e, "severity", float, where, DataError) if "severity" in e else 1.0,
+            severity=(get_field(e, "severity", strict_float, where, DataError)
+                      if "severity" in e else 1.0),
         )
         try:
             events.append(AnomalyEvent(**fields))

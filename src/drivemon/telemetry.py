@@ -244,17 +244,6 @@ def write_stream(stream: TelemetryStream, path: str | Path) -> None:
         raise OSError(f"failed writing stream to {path}: {exc}") from exc
 
 
-def stream_from_channels(
-    t: np.ndarray, sol: np.ndarray, channels: dict[str, np.ndarray]
-) -> TelemetryStream:
-    """Assemble a stream from per-channel arrays; every channel must be present."""
-    missing = [c for c in SENSOR_CHANNELS if c not in channels]
-    if missing:
-        raise SchemaError(f"missing channel(s) {', '.join(missing)}")
-    values = np.column_stack([np.asarray(channels[c], dtype=np.float64) for c in SENSOR_CHANNELS])
-    return TelemetryStream(t=t, sol=sol, values=values)
-
-
 def uniform_time_axis(n_frames: int, t0: float = 0.0) -> np.ndarray:
     """8 Hz time axis of length n_frames starting at t0 (exact 0.125 s steps)."""
     if n_frames < 1:

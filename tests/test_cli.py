@@ -17,6 +17,12 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+def write_pipeline_json(art):
+    """The pipeline.json that train writes for 4 s windows at a 1 s stride."""
+    (art / "pipeline.json").write_text(
+        '{"variant": "prime", "window_s": 4.0, "stride_s": 1.0, "seed": 0}\n')
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     """Small but calibration-sized dataset shared by the CLI tests."""
@@ -51,13 +57,19 @@ def test_generate_deterministic(tmp_path, data_dir):
         assert (again / name).read_bytes() == (data_dir / name).read_bytes()
 
 
-def test_generate_usage_errors(tmp_path):
+def test_generate_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run("generate", "--out", tmp_path, "--train-s", 2)
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run("generate", "--out", tmp_path, "--test-s", 100, "--events", "mixed90")
     assert exc.value.code == 2
+    # numpy refuses a negative seed with a traceback; the CLI refuses it first
+    with pytest.raises(SystemExit) as exc:
+        run("generate", "--out", tmp_path / "out", "--seed", -1)
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -204,6 +216,7 @@ def test_detect_perfect_stub_model_zero_flags(tmp_path, data_dir):
                              WindowSpec(), feature_mask("prime"))
     fit_scaler(X, variant="prime").save(art / "scaler.json")
     Threshold(percentile=99.9, value=0.0, calibration_size=1000).save(art / "threshold.json")
+    write_pipeline_json(art)
     assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art) == 0
     assert json.loads((art / "report.json").read_text()) == []
 
@@ -228,6 +241,7 @@ def test_evaluate_empty_cases(tmp_path):
     (art / "report.json").write_text("[]\n")
     (art / "scores.csv").write_text(
         "sol,start_t,score\n" + "\n".join(f"1,{i}.0,0.1" for i in range(10)) + "\n")
+    write_pipeline_json(art)
     labels = tmp_path / "labels.json"
     labels.write_text("[]\n")
     assert run("evaluate", "--artifacts", art, "--labels", labels) == 0
@@ -248,6 +262,7 @@ def test_evaluate_flag_outside_events_counts_fp(tmp_path):
     ]))
     (art / "scores.csv").write_text(
         "sol,start_t,score\n" + "\n".join(f"1,{i}.0,0.1" for i in range(60)) + "\n")
+    write_pipeline_json(art)
     labels = tmp_path / "labels.json"
     labels.write_text(json.dumps([
         {"kind": "MTSC", "t0": 1.0, "duration": 1.5, "wheel": "LF", "severity": 1.0}
@@ -408,6 +423,14 @@ def _report_with(field, value):
     ("detect", "threshold.json", '{"percentile": 99.9, "value": 1.0, "n": true}', 4),
     ("detect", "model.json", lambda doc: doc.replace('"dims": [322,', '"dims": [322.5,'), 4),
     ("detect", "model.json", lambda doc: doc.replace('"dims": [322,', '"dims": [true,'), 4),
+    ("detect", "threshold.json", '{"percentile": true, "value": 1.0, "n": 117}', 4),
+    ("detect", "threshold.json", '{"percentile": 99.9, "value": "1.0", "n": 117}', 4),
+    ("detect", "scaler.json", lambda doc: doc.replace('"min": [', '"min": [true, '), 4),
+    ("detect", "scaler.json", lambda doc: doc.replace('"max": [', '"max": ["0.5", '), 4),
+    ("evaluate", "report.json", _report_with("start_t", True), 4),
+    ("evaluate", "report.json", _report_with("magnitude", "5.0"), 4),
+    ("evaluate", "labels.json", json.dumps([{"kind": "RockDrop", "t0": True, "duration": 3.0}]), 3),
+    ("evaluate", "labels.json", json.dumps([{"kind": "RockDrop", "t0": 1.0, "duration": "3"}]), 3),
     ("detect", "model.json", None, 4),
     ("detect", "scaler.json", None, 4),
     ("detect", "threshold.json", None, 4),
@@ -416,7 +439,9 @@ def _report_with(field, value):
         "scores-nan", "scores-start-inf", "report-start-nan", "report-score-inf",
         "report-threshold-minus-inf", "report-magnitude-nan", "report-sol-inf",
         "report-sol-fraction", "report-sol-bool", "threshold-n-fraction", "threshold-n-bool",
-        "model-dims-fraction", "model-dims-bool",
+        "model-dims-fraction", "model-dims-bool", "threshold-percentile-bool",
+        "threshold-value-text", "scaler-min-bool", "scaler-max-text", "report-start-bool",
+        "report-magnitude-text", "labels-t0-bool", "labels-duration-text",
         "model-missing", "scaler-missing", "threshold-missing"])
 def test_malformed_input_exit_code(tmp_path, data_dir, trained_dir, capsys,
                                    command, name, content, code):
@@ -447,11 +472,15 @@ def test_malformed_input_exit_code(tmp_path, data_dir, trained_dir, capsys,
     ("[]", "JSON object"),
     ('{"window_s": "x"}', "window_s"),
     ('{"stride_s": "x", "window_s": 4.0}', "stride_s"),
-    ('{"window_s": 3.3}', "whole frame counts"),
-], ids=["list", "window-text", "stride-text", "window-off-grid"])
+    ('{"window_s": 3.3, "stride_s": 1.0}', "whole frame counts"),
+    ('{"window_s": true, "stride_s": 1.0}', "window_s"),
+    ('{"window_s": 4.0}', "stride_s"),
+    (None, "No such file"),
+], ids=["list", "window-text", "stride-text", "window-off-grid", "window-bool", "stride-missing",
+        "missing"])
 def test_malformed_pipeline_exits_4(tmp_path, data_dir, trained_dir, capsys,
                                     command, content, named):
-    """A damaged pipeline.json exits 4, naming the file and the field."""
+    """A damaged or missing pipeline.json exits 4, naming the file and the field."""
     art = tmp_path / "art"
     art.mkdir()
     for kept in ("model.json", "model.params", "scaler.json", "threshold.json"):
@@ -459,7 +488,8 @@ def test_malformed_pipeline_exits_4(tmp_path, data_dir, trained_dir, capsys,
     (art / "report.json").write_text("[]\n")
     (art / "scores.csv").write_text("sol,start_t,score\n1,0.0,0.1\n")
     (art / "labels.json").write_text("[]\n")
-    (art / "pipeline.json").write_text(content)
+    if content is not None:
+        (art / "pipeline.json").write_text(content)
     if command == "evaluate":
         args = ("evaluate", "--artifacts", art, "--labels", art / "labels.json")
     else:
@@ -496,9 +526,9 @@ def test_scoring_flag_range_exits_2(tmp_path, data_dir, command, flag, value):
 
 @pytest.mark.parametrize("flag,value", [
     ("--epochs", 0), ("--batch-size", 0), ("--val-fraction", 0), ("--val-fraction", 1),
-    ("--window-s", 0.3), ("--stride-s", 0.3),
+    ("--window-s", 0.3), ("--stride-s", 0.3), ("--seed", -1),
 ], ids=["epochs-0", "batch-size-0", "val-fraction-0", "val-fraction-1", "window-s-off-grid",
-        "stride-s-off-grid"])
+        "stride-s-off-grid", "seed-negative"])
 def test_train_flag_range_exits_2(tmp_path, capsys, flag, value):
     """An out-of-range training flag is a usage error, found before the data is read."""
     with pytest.raises(SystemExit) as exc:
@@ -521,7 +551,7 @@ def test_detect_non_finite_scaler_exits_4(tmp_path, data_dir, trained_dir, capsy
     (art / "scaler.json").write_text(json.dumps(doc))
     assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art) == 4
     err = capsys.readouterr().err
-    assert "scaler.json" in err and "min is not finite" in err
+    assert "scaler.json" in err and "field 'min': nan is not finite" in err
 
 
 @pytest.mark.parametrize("cell,damaged", [

@@ -45,6 +45,16 @@ def test_wrong_arity_rejected():
         mean_over_wheels([1, 2, 3])
     with pytest.raises(DataError):
         deviation([1, 2, 3, 4, 5, 6, 7])
+    with pytest.raises(DataError):
+        deviation(np.zeros((4, 7)))
+
+
+def test_deviation_of_many_frames_is_row_by_row():
+    frames = np.random.default_rng(5).uniform(-2.0, 2.0, (50, 6))
+    many = deviation(frames)
+    assert many.shape == (50, 6)
+    for row, dev in zip(frames, many):
+        assert np.array_equal(deviation(row), dev)
 
 
 @given(finite6, st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))

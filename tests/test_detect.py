@@ -292,6 +292,26 @@ def test_integer_fields_refuse_non_integers(tmp_path, value):
     assert Threshold.load(threshold).calibration_size == 117
 
 
+@pytest.mark.parametrize("value", [True, "1.0"], ids=["bool", "text"])
+def test_float_fields_refuse_bool_and_text(tmp_path, value):
+    """float() would read true as 1.0 and "1.0" as 1.0; a JSON float field takes only numbers."""
+    threshold = tmp_path / "threshold.json"
+    for field in ("percentile", "value"):
+        threshold.write_text(json.dumps({"percentile": 99.9, "value": 1.0, "n": 117,
+                                         field: value}))
+        with pytest.raises(ArtifactError, match=f"threshold.json: bad value in field '{field}'"):
+            Threshold.load(threshold)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps([{"sol": 1, "start_t": value, "score": 9.0,
+                                   "threshold": 1.0, "contributors": []}]))
+    with pytest.raises(ArtifactError, match="report.json: record 0: bad value in field 'start_t'"):
+        read_report_json(report)
+    # an integer is a JSON number too
+    threshold.write_text(json.dumps({"percentile": 99, "value": 2, "n": 117}))
+    assert Threshold.load(threshold) == Threshold(percentile=99.0, value=2.0,
+                                                  calibration_size=117)
+
+
 def test_scores_csv_roundtrip(tmp_path):
     path = tmp_path / "scores.csv"
     scores = np.array([1.5, 2.5, 0.25])

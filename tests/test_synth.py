@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 import drivemon as dm
+from drivemon import synth
 from drivemon.errors import DataError
 from drivemon.synth import (
     DEFAULT_DURATION_S,
@@ -36,19 +39,17 @@ def test_frame_count():
 
 
 def test_currents_within_six_sigma_over_1000s():
-    profile = NominalProfile(duration_s=1000.0)
-    stream = generate_nominal(profile, 7)
-    for w, off in zip(dm.WHEELS, profile.wheel_current_offsets_a):
+    stream = generate_nominal(NominalProfile(duration_s=1000.0), 7)
+    for w, off in zip(dm.WHEELS, synth.WHEEL_CURRENT_OFFSETS_A):
         cur = stream.channel(f"current_{w}")
-        base = profile.base_current_a + off
-        assert np.max(np.abs(cur - base)) < 6.0 * profile.current_noise_a
+        base = synth.BASE_CURRENT_A + off
+        assert np.max(np.abs(cur - base)) < 6.0 * synth.CURRENT_NOISE_A
 
 
 def test_suspension_within_clamp():
-    profile = NominalProfile(duration_s=500.0)
-    stream = generate_nominal(profile, 3)
+    stream = generate_nominal(NominalProfile(duration_s=500.0), 3)
     for name in ("bogie_L", "bogie_R", "diff_L", "diff_R"):
-        assert np.max(np.abs(stream.channel(name))) <= profile.suspension_clamp_rad
+        assert np.max(np.abs(stream.channel(name))) <= synth.SUSPENSION_CLAMP_RAD
 
 
 def test_all_values_finite():
@@ -82,12 +83,11 @@ def test_injection_outside_interval_bit_identical(event):
 
 
 def test_rockdrop_peak_clears_nominal_band():
-    profile = NominalProfile(duration_s=60.0)
-    base = generate_nominal(profile, 5)
+    base = nominal_60s()
     event = AnomalyEvent(kind="RockDrop", t0=20.0)
     injected = inject(base, event, 1)
     z = injected.channel("accel_Z")[in_event(base, event)]
-    assert np.max(np.abs(z)) >= 5.0 * 6.0 * profile.accel_z_noise_ms2
+    assert np.max(np.abs(z)) >= 5.0 * 6.0 * synth.ACCEL_Z_NOISE_MS2
     # 30% of the ring couples into accel_X
     x = injected.channel("accel_X")[in_event(base, event)]
     x0 = base.channel("accel_X")[in_event(base, event)]
@@ -95,12 +95,11 @@ def test_rockdrop_peak_clears_nominal_band():
 
 
 def test_mtsc_targets_one_wheel_only():
-    profile = NominalProfile(duration_s=60.0)
-    base = generate_nominal(profile, 5)
+    base = nominal_60s()
     event = AnomalyEvent(kind="MTSC", t0=20.0, wheel="LR")
     injected = inject(base, event, 1)
     mask = in_event(base, event)
-    assert np.max(injected.channel("current_LR")[mask]) >= 3.0 * profile.base_current_a
+    assert np.max(injected.channel("current_LR")[mask]) >= 3.0 * synth.BASE_CURRENT_A
     for name in dm.SENSOR_CHANNELS:
         if name == "current_LR":
             continue
@@ -136,13 +135,12 @@ def test_highslip_raises_kurtosis_and_ripples_rates():
 
 
 def test_intense_terrain_surge_and_rate_drop():
-    profile = NominalProfile(duration_s=60.0)
-    base = generate_nominal(profile, 5)
+    base = nominal_60s()
     event = AnomalyEvent(kind="IntenseTerrain", t0=20.0, wheel="LM")
     injected = inject(base, event, 1)
     mask = in_event(base, event)
-    assert np.max(injected.channel("current_LM")[mask]) >= 3.0 * profile.base_current_a
-    assert np.min(injected.channel("rate_LM")[mask]) <= 0.2 * profile.wheel_rate_rad_s
+    assert np.max(injected.channel("current_LM")[mask]) >= 3.0 * synth.BASE_CURRENT_A
+    assert np.min(injected.channel("rate_LM")[mask]) <= 0.2 * synth.WHEEL_RATE_RAD_S
     assert not np.array_equal(injected.channel("bogie_L")[mask],
                               base.channel("bogie_L")[mask])
 
@@ -190,14 +188,17 @@ def test_event_validation():
 @pytest.mark.parametrize("field,value", [
     ("t0", float("nan")), ("t0", float("inf")), ("duration", float("nan")),
     ("duration", float("inf")), ("duration", 0.0), ("severity", float("nan")),
-    ("severity", float("inf")), ("severity", -1.0),
+    ("severity", float("inf")), ("severity", -1.0), ("t0", True), ("duration", "3.0"),
+    ("severity", False),
 ])
 def test_labels_refuse_non_finite_or_non_positive(tmp_path, field, value):
-    """NaN passes a `<= 0` check; each bad event is refused, naming the event and the field."""
+    """NaN passes a `<= 0` check and float() reads true as 1.0; each bad event is refused,
+    naming the event and the field."""
     good = {"kind": "RockDrop", "t0": 10.0, "duration": 3.0, "wheel": None, "severity": 1.0}
     path = tmp_path / "labels.json"
     path.write_text(json.dumps([good, {**good, "t0": 20.0, field: value}]))
-    with pytest.raises(DataError, match=f"labels.json: event 1: field '{field}' is"):
+    # a value that is not a finite number is refused as read; a non-positive one by the event
+    with pytest.raises(DataError, match=f"labels.json: event 1: (bad value in )?field '{field}'"):
         read_labels(path)
 
 
@@ -218,6 +219,16 @@ def test_make_dataset_determinism_and_labels():
     assert np.array_equal(a_train.values, b_train.values)
     assert np.array_equal(a_test.stream.values, b_test.stream.values)
     assert a_test.events == tuple(sorted(events, key=lambda e: e.t0))
+
+
+def test_make_dataset_equals_injecting_each_event():
+    events = plan_events("mixed5", 120.0, seed=3)
+    _, labeled = make_dataset(40.0, 120.0, events, seed=3)
+    children = np.random.SeedSequence(3).spawn(2 + len(events))
+    test = generate_nominal(NominalProfile(duration_s=120.0, sol=1001), children[1])
+    for i, ev in enumerate(labeled.events):
+        test = inject(test, ev, children[2 + i])
+    assert np.array_equal(labeled.stream.values, test.values)
 
 
 def test_make_dataset_rejects_overlap():
@@ -269,7 +280,33 @@ def test_labels_roundtrip(tmp_path):
 def test_profile_validation():
     with pytest.raises(DataError):
         NominalProfile(duration_s=2.0)
-    with pytest.raises(DataError):
-        NominalProfile(duration_s=10.0, wheel_current_offsets_a=(0.1,) * 6)
-    with pytest.raises(DataError):
-        NominalProfile(duration_s=10.0, current_noise_a=-1.0)
+    # NaN fails every comparison, so a `< 4.0` check alone would let it through
+    for duration in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="duration"):
+            NominalProfile(duration_s=duration)
+
+
+def test_profile_is_a_duration_and_a_sol():
+    assert [f.name for f in dataclasses.fields(NominalProfile)] == ["duration_s", "sol"]
+
+
+def _sha256(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_synthetic_bytes_are_pinned():
+    """The generated and derived bits are pinned, so a refactor must leave them unchanged.
+
+    One that reorders the random draws, for instance, fails here before it
+    changes a dataset or a trained model.
+    """
+    train, labeled = make_dataset(60.0, 120.0, plan_events("mixed5", 120.0, 7), 7)
+    streams = (train, labeled.stream)
+    assert _sha256(a for s in streams for a in (s.t, s.sol, s.values)) == (
+        "61d232c6802f382110f5042a7069e5fba9a422a26bcb8f097a283cffe9f2805c")
+    derived = [dm.derive_stream(s) for s in streams]
+    assert _sha256(a for d in derived for a in (d.t, d.sol, d.values)) == (
+        "ae319db38016647aecc6337f8b2c97fe242670639e2969dea36b238a15a4675c")
