@@ -105,6 +105,9 @@ def cmd_generate(args, parser: argparse.ArgumentParser) -> None:
         parser.error("--train-s and --test-s must be finite and at least 4 (one full window)")
     if not 0.0 < args.severity < math.inf:
         parser.error("--severity must be finite and > 0")
+    # sol is stored as int64, and the test drive is sol + 1
+    if not -2**63 <= args.sol < 2**63 - 1:
+        parser.error(f"--sol must be in [{-2**63}, {2**63 - 2}]")
     try:
         events = synth.plan_events(args.events, args.test_s, args.seed,
                                    severity=args.severity)

@@ -8,7 +8,7 @@ undercomplete. Everything is double precision so gradient checks are tight.
 
 Every weight and bias lives in one contiguous float64 buffer,
 ``AutoencoderModel.params``, laid out layer by layer as W_l row-major then
-b_l. Gradients use the same layout, ADAM updates the whole buffer at once,
+b_l. Gradients use the same layout, ADAM updates the whole buffer in one call,
 and ``save_model`` writes its little-endian bytes to ``model.params`` beside
 ``model.json``, which records their SHA-256.
 """
@@ -28,6 +28,10 @@ ACTIVATIONS = ("linear", "sigmoid")
 
 #: Rows per sigmoid call in _layer; a training batch is one block.
 SIGMOID_BLOCK_ROWS = 1024
+
+#: Elements per slice of each array in adam_step: 256 KiB of float64, small
+#: enough that a slice is still in cache for the next of the update's operations.
+ADAM_BLOCK_SIZE = 32768
 
 #: dims are [input, layer1..layer6 widths]; symmetric with a strict bottleneck.
 ARCHITECTURES = {
@@ -273,7 +277,7 @@ def backward(
 @dataclass
 class AdamState:
     """First and second moment accumulators, one pair per parameter array,
-    and two scratch buffers as long as the largest array."""
+    and two scratch buffers of one ADAM_BLOCK_SIZE slice each."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
@@ -281,7 +285,7 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        size = max(p.size for p in params)
+        size = min(max(p.size for p in params), ADAM_BLOCK_SIZE)
         return cls(m=[np.zeros_like(p) for p in params],
                    v=[np.zeros_like(p) for p in params],
                    scratch=(np.empty(size), np.empty(size)))
@@ -300,7 +304,10 @@ def adam_step(
     """One bias-corrected ADAM update (Kingma & Ba 2015, Alg. 1), applied in place.
 
     Per element: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, then
-    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), evaluated in that order.
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), evaluated in that order. Each
+    array is updated ADAM_BLOCK_SIZE elements at a time, so every operation
+    finds its operands in cache; the update is elementwise, so the bits are
+    those of the whole-array formula.
     """
     if t < 1:
         raise DataError("adam step index t must be >= 1")
@@ -311,20 +318,26 @@ def adam_step(
     for m, v, p, g in zip(state.m, state.v, params, grads):
         if not p.shape == g.shape == m.shape:
             raise DataError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        s1, s2 = (s[:p.size].reshape(p.shape) for s in state.scratch)
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=s1)
-        v *= beta2
-        np.multiply(g, g, out=s1)
-        s1 *= 1.0 - beta2
-        v += s1
-        np.divide(m, bc1, out=s1)
-        s1 *= lr
-        np.divide(v, bc2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += eps
-        s1 /= s2
-        p -= s1
+        if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise DataError("ADAM updates C-contiguous parameter and moment arrays in place")
+        # flat views of the updated arrays; a gradient is only read, so a copy would do
+        m, v, p, g = (a.reshape(-1) for a in (m, v, p, g))
+        for lo in range(0, p.size, ADAM_BLOCK_SIZE):
+            mb, vb, pb, gb = (a[lo:lo + ADAM_BLOCK_SIZE] for a in (m, v, p, g))
+            s1, s2 = (s[:pb.size] for s in state.scratch)
+            mb *= beta1
+            mb += np.multiply(gb, 1.0 - beta1, out=s1)
+            vb *= beta2
+            np.multiply(gb, gb, out=s1)
+            s1 *= 1.0 - beta2
+            vb += s1
+            np.divide(mb, bc1, out=s1)
+            s1 *= lr
+            np.divide(vb, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            s1 /= s2
+            pb -= s1
     return params, state
 
 

@@ -80,18 +80,89 @@ def load_bundle(artifacts, stride_s: float | None = None):
     return model, scaler, spec if stride_s is None else replace(spec, stride_s=stride_s)
 
 
+def _file_sha256(path) -> str:
+    """SHA-256 of a file, read 1 MiB at a time so that a large CSV is never held whole."""
+    import hashlib  # loads OpenSSL; generate, which hashes nothing, need not pay for it
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _sha256_hex(value) -> str:
+    if not (isinstance(value, str) and len(value) == 64
+            and all(c in "0123456789abcdef" for c in value)):
+        raise ValueError(f"{value!r} is not a SHA-256 hex digest")
+    return value
+
+
+#: The calibration record in pipeline.json: field -> how it is read back.
+CALIBRATION_FIELDS = {"data_sha256": _sha256_hex, "stride_s": strict_float,
+                      "params_sha256": _sha256_hex, "scaler_sha256": _sha256_hex,
+                      "scores_sha256": _sha256_hex}
+
+
+def _calibration_inputs(artifacts: Path, data_sha256: str, stride_s: float) -> dict:
+    """The record fields, scores_sha256 aside, for scoring this data with these artifacts.
+
+    model.json's params_sha256 already covers model.params, which load_model checks.
+    """
+    model_path = artifacts / MODEL_FILE
+    return {"data_sha256": data_sha256, "stride_s": stride_s,
+            "params_sha256": get_field(read_json(model_path), "params_sha256", _sha256_hex,
+                                       str(model_path)),
+            "scaler_sha256": _file_sha256(artifacts / SCALER_FILE)}
+
+
+def _write_calibration(artifacts: Path, pipeline: dict, inputs: dict, scores, start_t,
+                       sol) -> None:
+    """Write calibration_scores.csv, then pipeline.json with the record that vouches for it.
+
+    pipeline.json goes last, so a run cut short leaves a record that no longer matches.
+    """
+    scores_path = artifacts / CALIBRATION_SCORES_FILE
+    detect.write_scores_csv(scores_path, scores, start_t, sol)
+    record = dict(inputs, scores_sha256=_file_sha256(scores_path))
+    (artifacts / PIPELINE_FILE).write_text(json.dumps(dict(pipeline, calibration=record)) + "\n")
+
+
+def _reusable_scores(artifacts: Path, pipeline: dict, inputs: dict):
+    """The stored calibration scores, if pipeline.json's record vouches for these inputs;
+    else None. An absent record means recompute; a malformed one raises ArtifactError."""
+    if "calibration" not in pipeline:
+        return None
+    where = f"{artifacts / PIPELINE_FILE}: field 'calibration'"
+    record = pipeline["calibration"]
+    if not isinstance(record, dict):
+        raise ArtifactError(f"{where}: expected a JSON object, got {type(record).__name__}")
+    record = {key: get_field(record, key, read, where) for key, read in CALIBRATION_FIELDS.items()}
+    scores_path = artifacts / CALIBRATION_SCORES_FILE
+    if (any(record[key] != value for key, value in inputs.items())
+            or not scores_path.exists()
+            or _file_sha256(scores_path) != record["scores_sha256"]):
+        return None
+    scores, _, _ = detect.read_scores_csv(scores_path)
+    return scores
+
+
 def fit_pipeline(data, artifacts, variant: str, config: net.TrainConfig,
                  spec: features.WindowSpec = features.WindowSpec()):
     """Fit the scaler and train the model, seeded by config.rng_seed, on a nominal drive.
 
-    Writes model.json, scaler.json, losses.csv and pipeline.json; returns (TrainReport, windows).
+    Writes model.json, scaler.json, losses.csv, the training windows' scores in
+    calibration_scores.csv, and pipeline.json with the calibration record that lets
+    calibrate reuse them; returns (TrainReport, windows).
     """
-    X, _, _ = _featurize(data, spec, variant)
+    data_sha256 = _file_sha256(data)
+    X, start_t, sol = _featurize(data, spec, variant)
     scaler = features.fit_scaler(X, variant=variant)
     # rebinding X frees the raw features before training starts
     X = scaler.transform(X)
     model = net.build_model(variant, seed=config.rng_seed)
     model, report = net.train(model, X, config)
+    # the rows, order and row count calibrate would score, so the same bits
+    scores, _ = detect.score_matrix(model, X)
     artifacts = Path(artifacts)
     artifacts.mkdir(parents=True, exist_ok=True)
     net.save_model(model, artifacts / MODEL_FILE)
@@ -102,22 +173,37 @@ def fit_pipeline(data, artifacts, variant: str, config: net.TrainConfig,
             fh.write(f"{i},{tr!r},{va!r}\n")
     pipeline = {"variant": variant, "window_s": spec.window_s,
                 "stride_s": spec.stride_s, "seed": config.rng_seed}
-    (artifacts / PIPELINE_FILE).write_text(json.dumps(pipeline) + "\n")
+    _write_calibration(artifacts, pipeline,
+                       _calibration_inputs(artifacts, data_sha256, spec.stride_s),
+                       scores, start_t, sol)
     return report, X.shape[0]
 
 
 def calibrate_pipeline(data, artifacts, percentile: float = 99.9,
                        stride_s: float | None = None) -> detect.Threshold:
     """Threshold at a nearest-rank percentile of a nominal drive's scores; writes
-    threshold.json and calibration_scores.csv, which detect re-thresholds from."""
+    threshold.json and calibration_scores.csv, which detect re-thresholds from.
+
+    The scores train stored are reused when pipeline.json's calibration record
+    matches this data's SHA-256, the effective stride, the model and the scaler,
+    and calibration_scores.csv has the recorded SHA-256. Otherwise the drive is
+    scored afresh and the record rewritten for it.
+    """
     artifacts = Path(artifacts)
     model, scaler, spec = load_bundle(artifacts, stride_s)
-    X, start_t, sol = _featurize(data, spec, model.variant)
-    X = scaler.transform(X)  # the raw features are freed here, before scoring
-    scores, _ = detect.score_matrix(model, X)
+    pipeline = read_json(artifacts / PIPELINE_FILE)
+    inputs = _calibration_inputs(artifacts, _file_sha256(data), spec.stride_s)
+    scores = _reusable_scores(artifacts, pipeline, inputs)
+    fresh = scores is None
+    if fresh:
+        X, start_t, sol = _featurize(data, spec, model.variant)
+        X = scaler.transform(X)  # the raw features are freed here, before scoring
+        scores, _ = detect.score_matrix(model, X)
+    # too few scores raises here, before any file is written
     threshold = detect.calibrate(scores, percentile)
     threshold.save(artifacts / THRESHOLD_FILE)
-    detect.write_scores_csv(artifacts / CALIBRATION_SCORES_FILE, scores, start_t, sol)
+    if fresh:
+        _write_calibration(artifacts, pipeline, inputs, scores, start_t, sol)
     return threshold
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,6 +79,11 @@ class NominalProfile:
         # written so that NaN fails: every comparison with NaN is false
         if not 4.0 <= self.duration_s < math.inf:
             raise DataError("duration must be finite and at least one 4 s window")
+        # np.full would truncate a fractional sol without a word
+        if isinstance(self.sol, bool) or not isinstance(self.sol, numbers.Integral):
+            raise DataError(f"field 'sol' is {self.sol!r}; it must be an integer")
+        if not -2**63 <= self.sol < 2**63:
+            raise DataError(f"field 'sol' is {self.sol}; it must fit in 64 bits")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import base64
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -15,6 +17,10 @@ from conftest import store_params
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_pipeline_json(art):
@@ -72,6 +78,23 @@ def test_generate_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sol", [2**63 - 1, 2**63, -2**63 - 1])
+def test_generate_sol_out_of_int64_range_exits_2(tmp_path, capsys, sol):
+    """The test drive's sol is --sol + 1, and both must fit in int64."""
+    with pytest.raises(SystemExit) as exc:
+        run("generate", "--out", tmp_path / "out", "--train-s", 8, "--test-s", 8,
+            "--events", "none", "--sol", sol)
+    assert exc.value.code == 2
+    assert "--sol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_largest_sol(tmp_path):
+    assert run("generate", "--out", tmp_path, "--train-s", 8, "--test-s", 8,
+               "--events", "none", "--sol", 2**63 - 2) == 0
+    assert (tmp_path / "test.csv").read_text().splitlines()[1].split(",")[1] == str(2**63 - 1)
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--train-s", "nan"), ("--train-s", "inf"), ("--test-s", "nan"), ("--test-s", "inf"),
     ("--severity", "nan"), ("--severity", "inf"),
@@ -85,7 +108,7 @@ def test_generate_non_finite_flag_is_a_usage_error(tmp_path, capsys, flag, value
     assert not (tmp_path / "out").exists()
 
 
-def test_train_artifacts(trained_dir):
+def test_train_artifacts(data_dir, trained_dir):
     model = load_model(trained_dir / "model.json")
     assert model.dims == (322, 322, 182, 143, 143, 182, 322)
     scaler = MinMaxScaler.load(trained_dir / "scaler.json")
@@ -94,7 +117,14 @@ def test_train_artifacts(trained_dir):
     assert losses[0] == "epoch,train_loss,val_loss"
     assert len(losses) == 1 + 3
     pipeline = json.loads((trained_dir / "pipeline.json").read_text())
-    assert pipeline == {"variant": "prime", "window_s": 4.0, "stride_s": 1.0, "seed": 3}
+    assert pipeline == {"variant": "prime", "window_s": 4.0, "stride_s": 1.0, "seed": 3,
+                        "calibration": {
+                            "data_sha256": sha256_of(data_dir / "train.csv"),
+                            "stride_s": 1.0,
+                            "params_sha256": sha256_of(trained_dir / "model.params"),
+                            "scaler_sha256": sha256_of(trained_dir / "scaler.json"),
+                            "scores_sha256": sha256_of(trained_dir / "calibration_scores.csv"),
+                        }}
 
 
 def test_train_refined_scaler_width(tmp_path, data_dir):
@@ -497,6 +527,30 @@ def test_malformed_pipeline_exits_4(tmp_path, data_dir, trained_dir, capsys,
     assert run(*args) == 4
     err = capsys.readouterr().err
     assert "pipeline.json" in err and named in err
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda rec: [], "JSON object"),
+    (lambda rec: {k: v for k, v in rec.items() if k != "scaler_sha256"}, "scaler_sha256"),
+    (lambda rec: dict(rec, data_sha256=rec["data_sha256"].upper()), "data_sha256"),
+    (lambda rec: dict(rec, params_sha256=7), "params_sha256"),
+    (lambda rec: dict(rec, scores_sha256=rec["scores_sha256"][:-1]), "scores_sha256"),
+    (lambda rec: dict(rec, stride_s=True), "stride_s"),
+    (lambda rec: dict(rec, stride_s="1.0"), "stride_s"),
+], ids=["list", "scaler-missing", "data-upper-case", "params-number", "scores-short",
+        "stride-bool", "stride-text"])
+def test_malformed_calibration_record_exits_4(tmp_path, data_dir, trained_dir, capsys,
+                                              edit, named):
+    """calibrate refuses a damaged calibration record, naming pipeline.json and the field;
+    it does not fall back to scoring the drive afresh."""
+    art = tmp_path / "art"
+    shutil.copytree(trained_dir, art)
+    doc = json.loads((art / "pipeline.json").read_text())
+    doc["calibration"] = edit(doc["calibration"])
+    (art / "pipeline.json").write_text(json.dumps(doc))
+    assert run("calibrate", "--data", data_dir / "train.csv", "--artifacts", art) == 4
+    err = capsys.readouterr().err
+    assert "pipeline.json" in err and "calibration" in err and named in err
 
 
 @pytest.mark.parametrize("command,flag,name", [

@@ -326,6 +326,35 @@ def test_adam_quadratic_convergence():
     assert trail[first_small:].max() < 1e-2
 
 
+def test_adam_slices_give_the_whole_array_bits():
+    """A buffer of three full slices and a remainder, updated over several steps,
+    matches the formula applied to the whole arrays at once, bit for bit."""
+    from drivemon.net import ADAM_BLOCK_SIZE
+
+    rng = np.random.default_rng(8)
+    n = 3 * ADAM_BLOCK_SIZE + 5
+    theta = rng.normal(size=n)
+    p, m, v = theta.copy(), np.zeros(n), np.zeros(n)
+    state = AdamState.for_params([theta])
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    for t in range(1, 6):
+        g = rng.normal(size=n)
+        adam_step(state, [theta], [g], t, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        m = b1 * m + g * (1.0 - b1)
+        v = b2 * v + (g * g) * (1.0 - b2)
+        p = p - (m / (1.0 - b1 ** t)) * lr / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        assert theta.tobytes() == p.tobytes()
+        assert state.m[0].tobytes() == m.tobytes() and state.v[0].tobytes() == v.tobytes()
+
+
+def test_adam_refuses_a_strided_parameter():
+    """A slice of a non-contiguous array would be a copy, and the update would be lost."""
+    theta = np.zeros((4, 4))[:, ::2]
+    state = AdamState.for_params([theta])
+    with pytest.raises(DataError, match="contiguous"):
+        adam_step(state, [theta], [np.ones_like(theta)], t=1)
+
+
 def _nominal_feature_matrix(duration_s=240.0, seed=0, variant="refined"):
     import drivemon as dm
     from drivemon.synth import NominalProfile, generate_nominal

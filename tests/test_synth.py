@@ -286,6 +286,19 @@ def test_profile_validation():
             NominalProfile(duration_s=duration)
 
 
+@pytest.mark.parametrize("sol", [1000.7, True, "1000", 2**63, -2**63 - 1],
+                         ids=["fraction", "bool", "text", "above-int64", "below-int64"])
+def test_profile_sol_is_a_64_bit_whole_number(sol):
+    """np.full would truncate 1000.7 to 1000 and read True as 1; each is refused."""
+    with pytest.raises(DataError, match="field 'sol'"):
+        NominalProfile(duration_s=8.0, sol=sol)
+
+
+@pytest.mark.parametrize("sol", [-2**63, 2**63 - 1, np.int64(1000), 1000])
+def test_profile_sol_accepts_int64_values(sol):
+    assert int(generate_nominal(NominalProfile(duration_s=8.0, sol=sol), 1).sol[0]) == sol
+
+
 def test_profile_is_a_duration_and_a_sol():
     assert [f.name for f in dataclasses.fields(NominalProfile)] == ["duration_s", "sol"]
 
