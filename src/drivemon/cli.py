@@ -15,7 +15,7 @@ from . import pipeline, synth
 from .errors import ArtifactError, DataError, PipelineError
 from .features import WindowSpec
 from .net import TrainConfig
-from .telemetry import is_frame_aligned, write_stream
+from .telemetry import SOL_LIMIT, is_frame_aligned, write_stream
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,9 +105,9 @@ def cmd_generate(args, parser: argparse.ArgumentParser) -> None:
         parser.error("--train-s and --test-s must be finite and at least 4 (one full window)")
     if not 0.0 < args.severity < math.inf:
         parser.error("--severity must be finite and > 0")
-    # sol is stored as int64, and the test drive is sol + 1
-    if not -2**63 <= args.sol < 2**63 - 1:
-        parser.error(f"--sol must be in [{-2**63}, {2**63 - 2}]")
+    # every sol must read back exactly from the CSV, and the test drive is sol + 1
+    if not -SOL_LIMIT < args.sol < SOL_LIMIT - 1:
+        parser.error(f"--sol must be in [{1 - SOL_LIMIT}, {SOL_LIMIT - 2}]")
     try:
         events = synth.plan_events(args.events, args.test_s, args.seed,
                                    severity=args.severity)

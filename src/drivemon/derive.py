@@ -18,14 +18,8 @@ from .telemetry import SENSOR_CHANNELS, WHEELS, TelemetryStream
 
 #: Per-wheel signal kinds in canonical order, with display names used in
 #: feature labels (e.g. "kurt(PD[LF])").
-WHEEL_SIGNALS = (
-    ("current", "C"),
-    ("cdev", "CD"),
-    ("rate", "Rate"),
-    ("voltage", "V"),
-    ("power", "P"),
-    ("pdev", "PD"),
-)
+WHEEL_SIGNALS = (("current", "C"), ("cdev", "CD"), ("rate", "Rate"), ("voltage", "V"),
+                 ("power", "P"), ("pdev", "PD"))
 
 #: The 46 derived channels: six signals per wheel in wheel order, then the
 #: IMU and suspension channels.

@@ -18,13 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, DataError, get_field, read_json, strict_float, strict_int
+from .errors import (ArtifactError, DataError, PipelineError, list_of, read_fields, read_json,
+                     strict_float, strict_int, strict_str)
 from .features import feature_mask
 from .net import AutoencoderModel, reconstruct
+from .telemetry import SOL_LIMIT, read_table
 
 #: Contributors below this fraction of the total score are not reported.
 CONTRIBUTOR_FLOOR = 0.10
 MAX_CONTRIBUTORS = 3
+
+
+#: threshold.json: field -> how it is read back.
+THRESHOLD_FIELDS = {"percentile": strict_float, "value": strict_float, "n": strict_int}
 
 
 @dataclass(frozen=True)
@@ -39,16 +45,13 @@ class Threshold:
 
     @classmethod
     def load(cls, path: str | Path) -> "Threshold":
-        doc, where = read_json(path), str(path)
-        value = get_field(doc, "value", strict_float, where)
-        percentile = get_field(doc, "percentile", strict_float, where)
-        if not 0.0 < percentile < 100.0:
-            raise ArtifactError(f"{where}: field 'percentile' is {percentile}, "
+        doc = read_fields(read_json(path), THRESHOLD_FIELDS, str(path))
+        if not 0.0 < doc["percentile"] < 100.0:
+            raise ArtifactError(f"{path}: field 'percentile' is {doc['percentile']}, "
                                 "outside (0, 100)")
-        n = get_field(doc, "n", strict_int, where)
-        if n < 1:
-            raise ArtifactError(f"{where}: field 'n' is {n}, below 1")
-        return cls(percentile=percentile, value=value, calibration_size=n)
+        if doc["n"] < 1:
+            raise ArtifactError(f"{path}: field 'n' is {doc['n']}, below 1")
+        return cls(percentile=doc["percentile"], value=doc["value"], calibration_size=doc["n"])
 
 
 @dataclass(frozen=True)
@@ -174,26 +177,22 @@ def write_report_csv(records: list[FlagRecord], path: str | Path) -> None:
         writer.writerow(REPORT_COLUMNS)
         for r in records:
             row = [r.sol, repr(r.start_t), repr(r.score), repr(r.threshold)]
-            for i in range(MAX_CONTRIBUTORS):
-                if i < len(r.contributors):
-                    name, mag = r.contributors[i]
-                    row += [name, repr(mag)]
-                else:
-                    row += ["", ""]
-            writer.writerow(row)
+            for name, mag in r.contributors[:MAX_CONTRIBUTORS]:
+                row += [name, repr(mag)]
+            writer.writerow(row + ["", ""] * (MAX_CONTRIBUTORS - len(r.contributors)))
+
+
+#: A report.json record and each of its contributors: field -> how it is read back. The
+#: contributors are read one by one, so that their errors name the record.
+REPORT_FIELDS = {"sol": strict_int, "start_t": strict_float, "score": strict_float,
+                 "threshold": strict_float, "contributors": list_of(lambda item: item)}
+CONTRIBUTOR_FIELDS = {"feature": strict_str, "magnitude": strict_float}
 
 
 def write_report_json(records: list[FlagRecord], path: str | Path) -> None:
-    doc = [
-        {
-            "sol": r.sol,
-            "start_t": r.start_t,
-            "score": r.score,
-            "threshold": r.threshold,
-            "contributors": [{"feature": n, "magnitude": m} for n, m in r.contributors],
-        }
-        for r in records
-    ]
+    doc = [{"sol": r.sol, "start_t": r.start_t, "score": r.score, "threshold": r.threshold,
+            "contributors": [{"feature": n, "magnitude": m} for n, m in r.contributors]}
+           for r in records]
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
@@ -204,48 +203,38 @@ def read_report_json(path: str | Path) -> list[FlagRecord]:
     records = []
     for i, r in enumerate(doc):
         where = f"{path}: record {i}"
-        records.append(FlagRecord(
-            sol=get_field(r, "sol", strict_int, where),
-            start_t=get_field(r, "start_t", strict_float, where),
-            score=get_field(r, "score", strict_float, where),
-            threshold=get_field(r, "threshold", strict_float, where),
-            contributors=tuple(
-                (get_field(c, "feature", str, where),
-                 get_field(c, "magnitude", strict_float, where))
-                for c in get_field(r, "contributors", list, where)
-            ),
-        ))
+        r = read_fields(r, REPORT_FIELDS, where)
+        contributors = [read_fields(c, CONTRIBUTOR_FIELDS, where) for c in r["contributors"]]
+        r["contributors"] = tuple((c["feature"], c["magnitude"]) for c in contributors)
+        records.append(FlagRecord(**r))
     return records
+
+
+SCORES_HEADER = ("sol", "start_t", "score")
 
 
 def write_scores_csv(path: str | Path, scores: np.ndarray, start_t, sol) -> None:
     """Per-window score series, for score-vs-time plots with external tools."""
     with open(Path(path), "w", newline="") as fh:
-        fh.write("sol,start_t,score\n")
+        fh.write(",".join(SCORES_HEADER) + "\n")
         for i in range(len(scores)):
             fh.write(f"{int(sol[i])},{repr(float(start_t[i]))},{repr(float(scores[i]))}\n")
 
 
-def _finite_float(v) -> float:
-    """A CSV text cell as a finite float."""
-    x = float(v)
-    if not math.isfinite(x):
-        raise ValueError(f"{v!r} is not finite")
-    return x
-
-
 def read_scores_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(scores, start_t, sol) of a scores CSV; errors number the data rows from 0."""
-    sols, starts, vals = [], [], []
-    with open(Path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sol", "start_t", "score"]:
-            raise ArtifactError(f"{path}: unexpected scores header {header}")
-        for i, row in enumerate(reader):
-            cells = dict(zip(header, row))
-            where = f"{path}: row {i}"
-            sols.append(get_field(cells, "sol", int, where))
-            starts.append(get_field(cells, "start_t", _finite_float, where))
-            vals.append(get_field(cells, "score", _finite_float, where))
-    return np.asarray(vals), np.asarray(starts), np.asarray(sols, dtype=np.int64)
+    """(scores, start_t, sol) of a scores CSV, read by telemetry.read_table; every fault,
+    an empty table included, raises ArtifactError naming the 0-based data row."""
+    try:
+        table = read_table(path, SCORES_HEADER)
+    except PipelineError as exc:
+        raise ArtifactError(str(exc)) from None
+    if len(table) == 0:
+        raise ArtifactError(f"{path}: empty table")
+    sol, start_t, scores = np.ascontiguousarray(table.T)
+    ok = np.stack([(sol == np.floor(sol)) & (np.abs(sol) < SOL_LIMIT),
+                   np.isfinite(start_t), np.isfinite(scores)], axis=1)
+    bad = np.argwhere(~ok)
+    if len(bad):
+        row, column = bad[0]
+        raise ArtifactError(f"{path}: row {row}: bad value in field {SCORES_HEADER[column]!r}")
+    return scores, start_t, sol.astype(np.int64)

@@ -66,13 +66,61 @@ def strict_float(value) -> float:
     return value
 
 
-def get_field(doc, key: str, convert, where: str, error: type[PipelineError] = ArtifactError):
-    """convert(doc[key]); a missing or unconvertible value raises `error` naming `where` and `key`."""
-    try:
-        value = doc[key]
-    except (KeyError, TypeError):
-        raise error(f"{where}: missing field {key!r}") from None
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-        raise error(f"{where}: bad value in field {key!r}: {exc}") from None
+def strict_str(value) -> str:
+    """A JSON string; str() would turn {} into "{}"."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def sha256_hex(value) -> str:
+    """A SHA-256 digest as 64 lower-case hex digits."""
+    if not (isinstance(value, str) and len(value) == 64
+            and all(c in "0123456789abcdef" for c in value)):
+        raise ValueError(f"{value!r} is not a SHA-256 hex digest")
+    return value
+
+
+def list_of(parse):
+    """A parser of a JSON list that reads every item with parse."""
+    def parse_list(value):
+        if not isinstance(value, list):
+            raise TypeError(f"{value!r} is not a list")
+        return [parse(item) for item in value]
+    return parse_list
+
+
+def object_of(fields: dict):
+    """A parser of a nested JSON object with its own field table."""
+    return lambda value: read_fields(value, fields, "", ValueError)
+
+
+def nullable(parse):
+    """A parser that reads JSON null as None and anything else with parse."""
+    return lambda value: None if value is None else parse(value)
+
+
+def read_fields(doc, fields: dict, where: str, error: type[Exception] = ArtifactError) -> dict:
+    """Each field a JSON object's table declares, parsed: {key: parse(doc[key])}.
+
+    A parser raises TypeError or ValueError on a bad value; a field declared as
+    (parser, default) may be absent and then reads as default. A missing or bad
+    field raises `error` naming `where` and the field.
+    """
+    where = f"{where}: " if where else ""
+    if not isinstance(doc, dict):
+        raise error(f"{where}expected a JSON object, got {type(doc).__name__}")
+    out = {}
+    for key, parse in fields.items():
+        if isinstance(parse, tuple):
+            parse, default = parse
+            if key not in doc:
+                out[key] = default
+                continue
+        elif key not in doc:
+            raise error(f"{where}missing field {key!r}")
+        try:
+            out[key] = parse(doc[key])
+        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+            raise error(f"{where}bad value in field {key!r}: {exc}") from None
+    return out

@@ -17,7 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .derive import DERIVED_CHANNELS, DerivedStream, channel_display
-from .errors import ArtifactError, DataError, get_field, read_json, strict_float
+from .errors import (ArtifactError, DataError, list_of, read_fields, read_json, strict_float,
+                     strict_str)
 from .telemetry import SAMPLE_RATE_HZ, is_frame_aligned
 
 #: Statistic names in canonical order. `index = channel*7 + stat` depends on it.
@@ -129,11 +130,7 @@ def window_arrays(
     w, s = spec.window_frames, spec.stride_frames
     n = len(stream)
     if n < w:
-        return (
-            np.empty((0, w, stream.values.shape[1])),
-            np.empty(0),
-            np.empty(0, dtype=np.int64),
-        )
+        return np.empty((0, w, stream.values.shape[1])), np.empty(0), np.empty(0, dtype=np.int64)
     # (n-w+1, 46, w) view, strided to every s-th start, no copy until stats
     view = sliding_window_view(stream.values, w, axis=0)[::s]
     data = np.swapaxes(view, 1, 2)
@@ -202,6 +199,11 @@ def feature_matrix(
     return X, start_t, sol
 
 
+#: scaler.json: field -> how it is read back; "constant" is written for people only.
+SCALER_FIELDS = {"variant": strict_str, "min": list_of(strict_float),
+                 "max": list_of(strict_float)}
+
+
 class MinMaxScaler:
     """Per-feature min-max normalization fitted on the training windows.
 
@@ -253,17 +255,11 @@ class MinMaxScaler:
 
     @classmethod
     def load(cls, path: str | Path) -> "MinMaxScaler":
-        doc, where = read_json(path), str(path)
-
-        def floats(v):
-            return np.array([strict_float(x) for x in v])
-
+        doc = read_fields(read_json(path), SCALER_FIELDS, str(path))
         try:
-            return cls(get_field(doc, "variant", str, where),
-                       get_field(doc, "min", floats, where),
-                       get_field(doc, "max", floats, where))
+            return cls(doc["variant"], doc["min"], doc["max"])
         except DataError as exc:
-            raise ArtifactError(f"{where}: {exc}") from exc
+            raise ArtifactError(f"{path}: {exc}") from exc
 
 
 def fit_scaler(X: np.ndarray, variant: str | None = None) -> MinMaxScaler:

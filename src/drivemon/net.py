@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, DataError, TrainingError, get_field, read_json, strict_int
+from .errors import (ArtifactError, DataError, TrainingError, list_of, nullable, object_of,
+                     read_fields, read_json, sha256_hex, strict_float, strict_int, strict_str)
 
 ACTIVATIONS = ("linear", "sigmoid")
 
@@ -292,14 +293,8 @@ class AdamState:
 
 
 def adam_step(
-    state: AdamState,
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    t: int,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray], t: int,
+    lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
 ) -> tuple[list[np.ndarray], AdamState]:
     """One bias-corrected ADAM update (Kingma & Ba 2015, Alg. 1), applied in place.
 
@@ -466,10 +461,20 @@ def _params_file(path: Path) -> Path:
 
 
 def _sha256(raw: bytes) -> str:
-    # imported here: hashlib loads OpenSSL, about 5 ms that commands which
-    # never touch a model (generate) would otherwise pay at import
+    # imported here: hashlib loads OpenSSL, a few ms that every `import drivemon`
+    # would otherwise pay (generate pays it anyway, through numpy's SeedSequence)
     import hashlib
     return hashlib.sha256(raw).hexdigest()
+
+
+#: model.json: field -> how it is read back; train_config is TrainConfig.to_json's.
+TRAIN_CONFIG_FIELDS = {"rng_seed": strict_int, "epochs": strict_int, "batch_size": strict_int,
+                       "learning_rate": strict_float, "beta1": strict_float, "beta2": strict_float,
+                       "eps": strict_float, "validation_fraction": strict_float}
+MODEL_FIELDS = {"variant": strict_str, "dims": list_of(strict_int),
+                "activations": list_of(strict_str), "params_sha256": sha256_hex,
+                "seed": (nullable(strict_int), None),
+                "train_config": (nullable(object_of(TRAIN_CONFIG_FIELDS)), None)}
 
 
 def save_model(model: AutoencoderModel, path: str | Path) -> None:
@@ -501,21 +506,18 @@ def load_model(path: str | Path) -> AutoencoderModel:
     path = Path(path)
     params_path = _params_file(path)
     doc = read_json(path)
-    where = str(path)
     if isinstance(doc, dict) and "params_sha256" not in doc and {"weights", "params"} & doc.keys():
         raise ArtifactError(f"{path}: parameters stored inside the JSON (nested lists or "
                             "base64) are an older model format that is no longer read; "
                             f"retrain the model to write {params_path.name}")
-    variant = get_field(doc, "variant", str, where)
-    dims = get_field(doc, "dims", lambda v: tuple(map(strict_int, v)), where)
-    activations = get_field(doc, "activations", tuple, where)
-    digest = get_field(doc, "params_sha256", str, where)
+    doc = read_fields(doc, MODEL_FIELDS, str(path))
+    dims = doc["dims"]
     try:
         raw = params_path.read_bytes()
     except OSError as exc:
         raise ArtifactError(f"{path}: cannot read its parameters from {params_path}: "
                             f"{exc.strerror}") from exc
-    if _sha256(raw) != digest:
+    if _sha256(raw) != doc["params_sha256"]:
         raise ArtifactError(f"{params_path}: SHA-256 does not match params_sha256 in "
                             f"{path}; the parameter file is damaged or from another model")
     if len(raw) != 8 * _param_count(dims):
@@ -523,9 +525,9 @@ def load_model(path: str | Path) -> AutoencoderModel:
                             f"need {8 * _param_count(dims)} (read from {params_path})")
     try:
         model = AutoencoderModel(
-            variant=variant, dims=dims, activations=activations,
+            variant=doc["variant"], dims=dims, activations=doc["activations"],
             params=np.frombuffer(raw, "<f8").astype(np.float64),
-            seed=doc.get("seed"), train_config=doc.get("train_config"),
+            seed=doc["seed"], train_config=doc["train_config"],
         )
     except DataError as exc:
         raise ArtifactError(f"{path}: {exc}") from exc

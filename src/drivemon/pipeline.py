@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import derive, detect, features, net, synth, telemetry
-from .errors import ArtifactError, DataError, get_field, read_json, strict_float
+from .errors import (ArtifactError, DataError, object_of, read_fields, read_json, sha256_hex,
+                     strict_float)
 
 MODEL_FILE = "model.json"
 SCALER_FILE = "scaler.json"
@@ -48,18 +49,26 @@ def _featurize(data, spec: features.WindowSpec, variant: str):
     return X, start_t, sol
 
 
-def _read_window_spec(artifacts: Path) -> features.WindowSpec:
-    """The window geometry that fit recorded in pipeline.json; both fields are required."""
+#: The calibration record in pipeline.json: field -> how it is read back.
+CALIBRATION_FIELDS = {"data_sha256": sha256_hex, "stride_s": strict_float,
+                      "params_sha256": sha256_hex, "scaler_sha256": sha256_hex,
+                      "scores_sha256": sha256_hex}
+#: pipeline.json: field -> how it is read back; "variant" and "seed" are written for
+#: people only, and a missing calibration record reads as None.
+PIPELINE_FIELDS = {"window_s": strict_float, "stride_s": strict_float,
+                   "calibration": (object_of(CALIBRATION_FIELDS), None)}
+
+
+def _read_pipeline(artifacts: Path) -> tuple[dict, dict, features.WindowSpec]:
+    """pipeline.json as written, its fields as read back, and the window geometry in it."""
     path = artifacts / PIPELINE_FILE
     doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ArtifactError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    window_s = get_field(doc, "window_s", strict_float, str(path))
-    stride_s = get_field(doc, "stride_s", strict_float, str(path))
+    fields = read_fields(doc, PIPELINE_FIELDS, str(path))
     try:
-        return features.WindowSpec(window_s=window_s, stride_s=stride_s)
+        spec = features.WindowSpec(window_s=fields["window_s"], stride_s=fields["stride_s"])
     except DataError as exc:
         raise ArtifactError(f"{path}: {exc}") from None
+    return doc, fields, spec
 
 
 def load_bundle(artifacts, stride_s: float | None = None):
@@ -76,31 +85,18 @@ def load_bundle(artifacts, stride_s: float | None = None):
     if model.input_dim != len(scaler):
         raise ArtifactError(f"model expects {model.input_dim} features but scaler has "
                             f"{len(scaler)}")
-    spec = _read_window_spec(artifacts)
+    _, _, spec = _read_pipeline(artifacts)
     return model, scaler, spec if stride_s is None else replace(spec, stride_s=stride_s)
 
 
 def _file_sha256(path) -> str:
     """SHA-256 of a file, read 1 MiB at a time so that a large CSV is never held whole."""
-    import hashlib  # loads OpenSSL; generate, which hashes nothing, need not pay for it
+    import hashlib  # loads OpenSSL, which `import drivemon` need not pay for
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _sha256_hex(value) -> str:
-    if not (isinstance(value, str) and len(value) == 64
-            and all(c in "0123456789abcdef" for c in value)):
-        raise ValueError(f"{value!r} is not a SHA-256 hex digest")
-    return value
-
-
-#: The calibration record in pipeline.json: field -> how it is read back.
-CALIBRATION_FIELDS = {"data_sha256": _sha256_hex, "stride_s": strict_float,
-                      "params_sha256": _sha256_hex, "scaler_sha256": _sha256_hex,
-                      "scores_sha256": _sha256_hex}
 
 
 def _calibration_inputs(artifacts: Path, data_sha256: str, stride_s: float) -> dict:
@@ -109,9 +105,9 @@ def _calibration_inputs(artifacts: Path, data_sha256: str, stride_s: float) -> d
     model.json's params_sha256 already covers model.params, which load_model checks.
     """
     model_path = artifacts / MODEL_FILE
+    model_json = read_fields(read_json(model_path), net.MODEL_FIELDS, str(model_path))
     return {"data_sha256": data_sha256, "stride_s": stride_s,
-            "params_sha256": get_field(read_json(model_path), "params_sha256", _sha256_hex,
-                                       str(model_path)),
+            "params_sha256": model_json["params_sha256"],
             "scaler_sha256": _file_sha256(artifacts / SCALER_FILE)}
 
 
@@ -127,18 +123,11 @@ def _write_calibration(artifacts: Path, pipeline: dict, inputs: dict, scores, st
     (artifacts / PIPELINE_FILE).write_text(json.dumps(dict(pipeline, calibration=record)) + "\n")
 
 
-def _reusable_scores(artifacts: Path, pipeline: dict, inputs: dict):
-    """The stored calibration scores, if pipeline.json's record vouches for these inputs;
-    else None. An absent record means recompute; a malformed one raises ArtifactError."""
-    if "calibration" not in pipeline:
-        return None
-    where = f"{artifacts / PIPELINE_FILE}: field 'calibration'"
-    record = pipeline["calibration"]
-    if not isinstance(record, dict):
-        raise ArtifactError(f"{where}: expected a JSON object, got {type(record).__name__}")
-    record = {key: get_field(record, key, read, where) for key, read in CALIBRATION_FIELDS.items()}
+def _reusable_scores(artifacts: Path, record: dict | None, inputs: dict):
+    """The stored calibration scores, if pipeline.json's calibration record vouches for
+    these inputs; else None. An absent record (None) means recompute."""
     scores_path = artifacts / CALIBRATION_SCORES_FILE
-    if (any(record[key] != value for key, value in inputs.items())
+    if (record is None or any(record[key] != value for key, value in inputs.items())
             or not scores_path.exists()
             or _file_sha256(scores_path) != record["scores_sha256"]):
         return None
@@ -165,6 +154,8 @@ def fit_pipeline(data, artifacts, variant: str, config: net.TrainConfig,
     scores, _ = detect.score_matrix(model, X)
     artifacts = Path(artifacts)
     artifacts.mkdir(parents=True, exist_ok=True)
+    # an earlier model's threshold is not this one's: detect exits 4 until calibrate runs
+    (artifacts / THRESHOLD_FILE).unlink(missing_ok=True)
     net.save_model(model, artifacts / MODEL_FILE)
     scaler.save(artifacts / SCALER_FILE)
     with open(artifacts / LOSSES_FILE, "w") as fh:
@@ -191,9 +182,9 @@ def calibrate_pipeline(data, artifacts, percentile: float = 99.9,
     """
     artifacts = Path(artifacts)
     model, scaler, spec = load_bundle(artifacts, stride_s)
-    pipeline = read_json(artifacts / PIPELINE_FILE)
+    pipeline, fields, _ = _read_pipeline(artifacts)
     inputs = _calibration_inputs(artifacts, _file_sha256(data), spec.stride_s)
-    scores = _reusable_scores(artifacts, pipeline, inputs)
+    scores = _reusable_scores(artifacts, fields["calibration"], inputs)
     fresh = scores is None
     if fresh:
         X, start_t, sol = _featurize(data, spec, model.variant)
@@ -244,11 +235,11 @@ def evaluate_metrics(artifacts, labels) -> dict:
     records = detect.read_report_json(artifacts / REPORT_JSON)
     _, start_t, _ = detect.read_scores_csv(artifacts / SCORES_FILE)
     events = synth.read_labels(labels)
-    window_s = _read_window_spec(artifacts).window_s
+    _, _, spec = _read_pipeline(artifacts)
     # one overlap matrix: rows are the scored windows, then the flags; columns the events
     starts = np.concatenate([start_t, [r.start_t for r in records]])[:, None]
     end_t = np.array([ev.end_t for ev in events])
-    overlap = (starts < end_t) & (np.array([ev.t0 for ev in events]) < starts + window_s)
+    overlap = (starts < end_t) & (np.array([ev.t0 for ev in events]) < starts + spec.window_s)
     nominal_total = int((~overlap[:len(start_t)].any(axis=1)).sum())
     flag_hits = overlap[len(start_t):]
     flags_tp = int(flag_hits.any(axis=1).sum())

@@ -25,11 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, get_field, read_json, strict_float
+from .errors import DataError, nullable, read_fields, read_json, strict_float, strict_str
 from .telemetry import (
     FRAME_DT_S,
     SAMPLE_RATE_HZ,
     SENSOR_CHANNELS,
+    SOL_LIMIT,
     WHEELS,
     TelemetryStream,
     channel_index,
@@ -82,8 +83,8 @@ class NominalProfile:
         # np.full would truncate a fractional sol without a word
         if isinstance(self.sol, bool) or not isinstance(self.sol, numbers.Integral):
             raise DataError(f"field 'sol' is {self.sol!r}; it must be an integer")
-        if not -2**63 <= self.sol < 2**63:
-            raise DataError(f"field 'sol' is {self.sol}; it must fit in 64 bits")
+        if not -SOL_LIMIT < self.sol < SOL_LIMIT:
+            raise DataError(f"field 'sol' is {self.sol}; it must fit in 53 bits")
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,11 @@ class AnomalyEvent:
             raise DataError(f"field 't0' is {self.t0}; it must be finite")
         if self.kind in WHEEL_KINDS:
             if self.wheel not in WHEELS:
-                raise DataError(f"{self.kind} requires a wheel from {WHEELS}")
+                raise DataError(f"field 'wheel' is {self.wheel!r}; {self.kind} requires one "
+                                f"of {WHEELS}")
         elif self.wheel is not None:
-            raise DataError(f"{self.kind} does not target a single wheel")
+            raise DataError(f"field 'wheel' is {self.wheel!r}; {self.kind} does not target "
+                            "a single wheel")
         resolved = DEFAULT_DURATION_S[self.kind] if self.duration_s is None else self.duration_s
         if not 0.0 < resolved < math.inf:
             raise DataError(f"field 'duration' is {resolved}; it must be finite and > 0")
@@ -196,14 +199,6 @@ def _drive(profile: NominalProfile, seed, seeded_events=()) -> TelemetryStream:
     return TelemetryStream(t=t, sol=np.full(n, profile.sol, dtype=np.int64), values=values)
 
 
-def _bogie_channel(wheel: str) -> str:
-    return "bogie_L" if wheel.startswith("L") else "bogie_R"
-
-
-def _diff_channel(wheel: str) -> str:
-    return "diff_L" if wheel.startswith("L") else "diff_R"
-
-
 def _triangle(tau: np.ndarray, duration: float) -> np.ndarray:
     """Unit triangle over [0, duration): 0 at the edges, 1 at the midpoint."""
     u = tau / duration
@@ -242,7 +237,7 @@ def _superpose(values: np.ndarray, t: np.ndarray, event: AnomalyEvent, seed) -> 
     elif event.kind == "Wheelie":
         tri = _triangle(tau, event.duration)
         values[idx, col(f"current_{event.wheel}")] *= 1.0 - 0.8 * tri
-        values[idx, col(_bogie_channel(event.wheel))] += 0.08 * sev * tri
+        values[idx, col(f"bogie_{event.wheel[0]}")] += 0.08 * sev * tri
     elif event.kind == "HighSlip":
         # Student-t(3) scaled to std 4*severity*nominal current noise
         t_scale = 4.0 * sev * CURRENT_NOISE_A / np.sqrt(3.0)
@@ -255,8 +250,8 @@ def _superpose(values: np.ndarray, t: np.ndarray, event: AnomalyEvent, seed) -> 
         values[idx, col(f"current_{event.wheel}")] *= 1.0 + (4.0 * sev - 1.0) * tri
         values[idx, col(f"rate_{event.wheel}")] *= 1.0 - 0.9 * tri
         osc = np.sin(2.0 * np.pi * 1.5 * tau + np.pi / 6.0)
-        values[idx, col(_bogie_channel(event.wheel))] += 0.05 * sev * tri * osc
-        values[idx, col(_diff_channel(event.wheel))] += 0.03 * sev * tri * osc
+        values[idx, col(f"bogie_{event.wheel[0]}")] += 0.05 * sev * tri * osc
+        values[idx, col(f"diff_{event.wheel[0]}")] += 0.03 * sev * tri * osc
 
 
 def make_dataset(
@@ -337,6 +332,11 @@ def _parse_event_mix(mix: str) -> list[str]:
     return kinds
 
 
+#: A labels.json event: field -> how it is read back.
+LABEL_FIELDS = {"kind": strict_str, "t0": strict_float, "duration": strict_float,
+                "wheel": (nullable(strict_str), None), "severity": (strict_float, 1.0)}
+
+
 def write_labels(events, path: str | Path) -> None:
     doc = [
         {"kind": e.kind, "t0": e.t0, "duration": e.duration,
@@ -353,18 +353,10 @@ def read_labels(path: str | Path) -> list[AnomalyEvent]:
     events = []
     for i, e in enumerate(doc):
         where = f"{path}: event {i}"
-        if not isinstance(e, dict):
-            raise DataError(f"{where}: expected an object")
-        fields = dict(
-            kind=get_field(e, "kind", str, where, DataError),
-            t0=get_field(e, "t0", strict_float, where, DataError),
-            duration_s=get_field(e, "duration", strict_float, where, DataError),
-            wheel=e.get("wheel"),
-            severity=(get_field(e, "severity", strict_float, where, DataError)
-                      if "severity" in e else 1.0),
-        )
+        e = read_fields(e, LABEL_FIELDS, where, DataError)
         try:
-            events.append(AnomalyEvent(**fields))
+            events.append(AnomalyEvent(kind=e["kind"], t0=e["t0"], duration_s=e["duration"],
+                                       wheel=e["wheel"], severity=e["severity"]))
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from None
     return events

@@ -10,7 +10,6 @@ mission day, constant or increasing within a file.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,6 +39,9 @@ SENSOR_CHANNELS = (
 )
 
 CSV_HEADER = ("t", "sol") + SENSOR_CHANNELS
+
+#: Every sol is below this in magnitude, so that a float64 CSV cell holds it exactly.
+SOL_LIMIT = 2**53
 
 _UNITS = {"current": "A", "rate": "rad/s", "voltage": "V",
           "accel": "m/s^2", "rot": "rad/s", "bogie": "rad", "diff": "rad"}
@@ -77,14 +79,13 @@ class TelemetryStream:
         values = np.array(self.values, dtype=np.float64)
         if t.ndim != 1 or sol.shape != t.shape:
             raise DataError("t and sol must be 1-D arrays of equal length")
-        if sol.dtype.kind != "i":  # a float sol must hold whole numbers that fit in 64 bits
-            sol = sol.astype(np.float64)
-            bad = np.flatnonzero(~np.isfinite(sol) | (sol != np.floor(sol)))
-            if len(bad):
-                raise DataError(f"sol is not an integer at row {int(bad[0])}")
-            bad = np.flatnonzero(np.abs(sol) >= 2.0**63)
-            if len(bad):
-                raise DataError(f"sol does not fit in 64 bits at row {int(bad[0])}")
+        # checked as the float64s read_table parses, where every sol below 2^53 is exact
+        sol = sol.astype(np.float64)
+        whole = sol == np.floor(sol)
+        bad = np.flatnonzero(~(whole & (np.abs(sol) < SOL_LIMIT)))
+        if len(bad):
+            why = "does not fit in 53 bits" if whole[bad[0]] else "is not an integer"
+            raise DataError(f"sol {why} at row {bad[0]}")
         sol = sol.astype(np.int64)
         if values.shape != (len(t), len(SENSOR_CHANNELS)):
             raise DataError(
@@ -139,25 +140,34 @@ def _check_grid(t: np.ndarray) -> None:
 
 
 def read_stream(path: str | Path) -> TelemetryStream:
-    """Read a telemetry CSV into a validated stream.
+    """Read a telemetry CSV into a validated stream: read_table's errors, then the
+    stream's (DataError, OrderingError for off-grid timestamps) with the file named."""
+    table = read_table(path, CSV_HEADER)
+    try:
+        return TelemetryStream(t=table[:, 0], sol=table[:, 1], values=table[:, 2:])
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
-    The header is checked first; every later line is one data row of 30
-    comma-separated numbers (grammar in the README). Row indices in error
-    messages are 0-based data rows (the header is not counted). Raises
-    SchemaError for header mismatches, DataError for unparsable/non-finite
-    cells or bad sol values, OrderingError for non-monotone or off-grid
-    timestamps.
+
+def read_table(path: str | Path, header: tuple[str, ...]) -> np.ndarray:
+    """The (rows, len(header)) float64 table of a CSV file (grammar in the README).
+
+    The header is checked first; every later line is one row of len(header)
+    comma-separated numbers. Raises SchemaError for a header mismatch and
+    DataError naming the first bad 0-based data row (the header is not
+    counted). A header with no rows gives an empty table.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.readline()
         if not head:
             raise SchemaError(f"{path}: file is empty, expected header")
-        _check_header(path, next(csv.reader([head.decode("utf-8", errors="replace")])))
+        cells = head.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8", errors="replace")
+        _check_header(path, cells.split(","), header)
         body_start = fh.tell()
         n_rows = _count_lines(fh)
         if n_rows == 0:
-            raise DataError(f"{path}: empty stream")
+            return np.empty((0, len(header)))
         # the parser reads the lines from the file, so the body is never held as bytes
         fh.seek(body_start)
         try:
@@ -167,14 +177,11 @@ def read_stream(path: str | Path) -> TelemetryStream:
                                         UserWarning)
                 table = _parse_rows(fh)
         except ValueError:
-            raise _row_fault(path) from None
+            raise _row_fault(path, len(header)) from None
     # loadtxt skips blank lines, so a row count short of the line count is a fault
-    if table.shape != (n_rows, len(CSV_HEADER)):
-        raise _row_fault(path)
-    try:
-        return TelemetryStream(t=table[:, 0], sol=table[:, 1], values=table[:, 2:])
-    except DataError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    if table.shape != (n_rows, len(header)):
+        raise _row_fault(path, len(header))
+    return table
 
 
 def _count_lines(fh) -> int:
@@ -192,7 +199,7 @@ def _parse_rows(source) -> np.ndarray:
     return np.loadtxt(source, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
 
 
-def _row_fault(path: Path) -> DataError:
+def _row_fault(path: Path, n_columns: int) -> DataError:
     """The DataError naming the first data row of the file that does not parse.
 
     Re-reads the file to diagnose a failed table parse line by line with the
@@ -203,9 +210,8 @@ def _row_fault(path: Path) -> DataError:
         for i, line in enumerate(fh):
             line = line.removesuffix(b"\n").removesuffix(b"\r")
             n_cells = line.count(b",") + 1 if line else 0
-            if n_cells != len(CSV_HEADER):
-                return DataError(f"{path}: row {i} has {n_cells} cells, "
-                                 f"expected {len(CSV_HEADER)}")
+            if n_cells != n_columns:
+                return DataError(f"{path}: row {i} has {n_cells} cells, expected {n_columns}")
             try:
                 _parse_rows([line])
             except ValueError:
@@ -213,8 +219,8 @@ def _row_fault(path: Path) -> DataError:
     return DataError(f"{path}: unparsable table")
 
 
-def _check_header(path: Path, header: list[str]) -> None:
-    expected = list(CSV_HEADER)
+def _check_header(path: Path, header: list[str], expected: tuple[str, ...]) -> None:
+    expected = list(expected)
     if header == expected:
         return
     missing = [c for c in expected if c not in header]

@@ -10,7 +10,7 @@ from drivemon.cli import main
 from drivemon.detect import Threshold, read_scores_csv
 from drivemon.features import MinMaxScaler, fit_scaler
 from drivemon.net import load_model, new_model, save_model
-from drivemon.telemetry import CSV_HEADER
+from drivemon.telemetry import CSV_HEADER, read_stream
 
 from conftest import store_params
 
@@ -78,9 +78,10 @@ def test_generate_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("sol", [2**63 - 1, 2**63, -2**63 - 1])
+@pytest.mark.parametrize("sol", [2**53 - 1, 2**53, -2**53, 2**63 - 1, 2**63, -2**63 - 1])
 def test_generate_sol_out_of_int64_range_exits_2(tmp_path, capsys, sol):
-    """The test drive's sol is --sol + 1, and both must fit in int64."""
+    """The test drive's sol is --sol + 1, and both must be below 2^53 in magnitude, so
+    that they read back exactly from the CSV; int64 overflow is refused with them."""
     with pytest.raises(SystemExit) as exc:
         run("generate", "--out", tmp_path / "out", "--train-s", 8, "--test-s", 8,
             "--events", "none", "--sol", sol)
@@ -90,9 +91,13 @@ def test_generate_sol_out_of_int64_range_exits_2(tmp_path, capsys, sol):
 
 
 def test_generate_largest_sol(tmp_path):
-    assert run("generate", "--out", tmp_path, "--train-s", 8, "--test-s", 8,
-               "--events", "none", "--sol", 2**63 - 2) == 0
-    assert (tmp_path / "test.csv").read_text().splitlines()[1].split(",")[1] == str(2**63 - 1)
+    """The largest and smallest --sol each read back exactly, test drive's sol included."""
+    for sol in (2**53 - 2, 1 - 2**53):
+        assert run("generate", "--out", tmp_path, "--train-s", 8, "--test-s", 8,
+                   "--events", "none", "--sol", sol) == 0
+        assert (tmp_path / "test.csv").read_text().splitlines()[1].split(",")[1] == str(sol + 1)
+        assert int(read_stream(tmp_path / "train.csv").sol[0]) == sol
+        assert int(read_stream(tmp_path / "test.csv").sol[-1]) == sol + 1
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -140,6 +145,23 @@ def test_train_rerun_byte_identical(tmp_path, data_dir, trained_dir):
                "--variant", "prime", "--seed", 3, "--epochs", 3) == 0
     for name in ("model.json", "model.params", "scaler.json", "losses.csv", "pipeline.json"):
         assert (art / name).read_bytes() == (trained_dir / name).read_bytes()
+
+
+def test_retrain_drops_the_old_threshold(tmp_path, data_dir, capsys):
+    """A threshold calibrated for one model does not hold for the next: train removes it,
+    and detect exits 4 naming threshold.json until calibrate runs again."""
+    art = tmp_path / "art"
+    train = ("train", "--data", data_dir / "train.csv", "--artifacts", art, "--epochs")
+    calibrate = ("calibrate", "--data", data_dir / "train.csv", "--artifacts", art)
+    detect = ("detect", "--data", data_dir / "test.csv", "--artifacts", art)
+    assert run(*train, 2, "--seed", 1) == 0 and run(*calibrate) == 0
+    assert run(*train, 3, "--seed", 9) == 0
+    assert not (art / "threshold.json").exists()
+    capsys.readouterr()
+    assert run(*detect) == 4
+    assert "threshold.json" in capsys.readouterr().err
+    assert not (art / "report.json").exists()
+    assert run(*calibrate) == 0 and run(*detect) == 0
 
 
 def test_train_missing_data_exits_3(tmp_path):

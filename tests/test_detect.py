@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -322,3 +323,23 @@ def test_scores_csv_roundtrip(tmp_path):
     assert np.array_equal(back_scores, scores)
     assert np.array_equal(back_t, start_t)
     assert np.array_equal(back_sol, sol)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("sol,start_t,score\n1_0,1_0.5,2\n", "unparsable cell at row 0"),
+    ("sol,start_t,score\n1,0.0,0.1\n1,1.0,0.2,9\n", "row 1 has 4 cells, expected 3"),
+    ("sol,start_t,score\n1,0.0,0.1\n\n1,1.0,0.2\n", "row 1 has 0 cells"),
+    ("sol,start_t,score\n", "empty table"),
+    ("sol,score,start_t\n1,0.0,0.1\n", "columns out of order"),
+    ("sol,start_t,score\n1.5,0.0,0.1\n", "row 0: bad value in field 'sol'"),
+    (f"sol,start_t,score\n{2**53 + 1},0.0,0.1\n", "row 0: bad value in field 'sol'"),
+    ("sol,start_t,score\n1,0.0,0.1\n1,nan,0.2\n", "row 1: bad value in field 'start_t'"),
+], ids=["underscore", "long-row", "blank-line", "header-only", "header-order",
+        "fractional-sol", "sol-beyond-2^53", "start-nan"])
+def test_scores_csv_follows_the_telemetry_grammar(tmp_path, body, message):
+    """Score tables are read by the telemetry table reader, so its grammar holds, and
+    every fault is an ArtifactError naming the file and the 0-based data row."""
+    path = tmp_path / "scores.csv"
+    path.write_text(body)
+    with pytest.raises(ArtifactError, match=f"scores.csv: .*{re.escape(message)}"):
+        read_scores_csv(path)

@@ -286,16 +286,19 @@ def test_profile_validation():
             NominalProfile(duration_s=duration)
 
 
-@pytest.mark.parametrize("sol", [1000.7, True, "1000", 2**63, -2**63 - 1],
-                         ids=["fraction", "bool", "text", "above-int64", "below-int64"])
+@pytest.mark.parametrize("sol", [1000.7, True, "1000", 2**63, -2**63 - 1, 2**53, -2**53],
+                         ids=["fraction", "bool", "text", "above-int64", "below-int64",
+                              "above-2^53", "below-2^53"])
 def test_profile_sol_is_a_64_bit_whole_number(sol):
-    """np.full would truncate 1000.7 to 1000 and read True as 1; each is refused."""
+    """np.full would truncate 1000.7 to 1000 and read True as 1; each is refused, and so
+    is a sol that a float64 CSV cell cannot hold exactly."""
     with pytest.raises(DataError, match="field 'sol'"):
         NominalProfile(duration_s=8.0, sol=sol)
 
 
-@pytest.mark.parametrize("sol", [-2**63, 2**63 - 1, np.int64(1000), 1000])
+@pytest.mark.parametrize("sol", [1 - 2**53, 2**53 - 1, np.int64(1000), 1000])
 def test_profile_sol_accepts_int64_values(sol):
+    """Every int64 sol below 2^53 in magnitude is accepted."""
     assert int(generate_nominal(NominalProfile(duration_s=8.0, sol=sol), 1).sol[0]) == sol
 
 

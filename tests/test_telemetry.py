@@ -9,6 +9,7 @@ from drivemon.errors import DataError, OrderingError, SchemaError
 from drivemon.telemetry import (
     CSV_HEADER,
     SENSOR_CHANNELS,
+    SOL_LIMIT,
     WHEELS,
     TelemetryStream,
     channel_unit,
@@ -207,7 +208,9 @@ def test_any_bytes_in_a_row_are_a_data_error(tmp_path_factory, junk):
         read_stream(path)
 
 
-@pytest.mark.parametrize("sol", ["nan", "inf", "-inf", "1000.5", "1e19"])
+@pytest.mark.parametrize("sol", ["nan", "inf", "-inf", "1000.5", "1e19",
+                                 # 2^53 + 1 parses to 2^53, so it cannot be read exactly
+                                 str(2**53 + 1), str(-2**53)])
 def test_bad_sol_cites_row(tmp_path, sol):
     path = tmp_path / "s.csv"
     _write_rows(path, [_row(0.0), _row(0.125).replace("1000", sol, 1), _row(0.25)])
@@ -221,6 +224,15 @@ def test_stream_rejects_non_integral_sol(sol):
     """A float sol is checked before the int64 cast, which would truncate it."""
     row = 0 if sol[0] % 1 else 1
     with pytest.raises(DataError, match=f"sol is not an integer at row {row}"):
+        TelemetryStream(t=[0.0, 0.125], sol=sol, values=np.zeros((2, len(SENSOR_CHANNELS))))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_stream_rejects_sol_beyond_2_53(dtype):
+    """Integer and float sols meet one bound: a sol a float64 CSV cell cannot hold exactly
+    is refused, whatever array it comes in."""
+    sol = np.array([SOL_LIMIT - 1, SOL_LIMIT], dtype=dtype)
+    with pytest.raises(DataError, match="sol does not fit in 53 bits at row 1"):
         TelemetryStream(t=[0.0, 0.125], sol=sol, values=np.zeros((2, len(SENSOR_CHANNELS))))
 
 
@@ -245,7 +257,7 @@ _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
                       min_size=len(SENSOR_CHANNELS), max_size=len(SENSOR_CHANNELS)),
              min_size=1, max_size=6),
     st.integers(min_value=-2**40, max_value=2**40),
-    st.integers(min_value=-2**53, max_value=2**53),
+    st.integers(min_value=1 - SOL_LIMIT, max_value=SOL_LIMIT - 1),
 )
 def test_write_read_roundtrip_is_bitwise(tmp_path_factory, rows, t0_frames, sol):
     stream = TelemetryStream(t=uniform_time_axis(len(rows), t0=t0_frames * 0.125),
