@@ -28,6 +28,11 @@ from .telemetry import SOL_LIMIT, read_table
 CONTRIBUTOR_FLOOR = 0.10
 MAX_CONTRIBUTORS = 3
 
+#: Rows per reconstruct call in score_matrix. A matmul over fewer rows can round some
+#: rows differently, so a drive of more windows than this scores within an ulp or two of
+#: one whole-matrix call, not bit for bit.
+SCORE_BLOCK_ROWS = 4096
+
 
 #: threshold.json: field -> how it is read back.
 THRESHOLD_FIELDS = {"percentile": strict_float, "value": strict_float, "n": strict_int}
@@ -66,22 +71,27 @@ class FlagRecord:
 
 
 def score_matrix(model: AutoencoderModel, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Score scaled feature rows at once; returns (scores (n,), residuals (n, d)).
+    """Score scaled feature rows; returns (scores (n,), residuals (n, d)).
 
     Xs is MinMaxScaler.transform's output for a scaler that agrees with the
-    model, as load_bundle checks; the raw rows need not be kept alive.
+    model, as load_bundle checks; the raw rows need not be kept alive. Xs is
+    overwritten: the residuals returned are Xs itself, written
+    SCORE_BLOCK_ROWS rows at a time, so scoring holds block-sized buffers
+    beside it however many rows there are.
     """
-    Xs = np.atleast_2d(Xs)
-    # the residual overwrites the reconstruction, so no third (n, d) array is made
-    X_hat = reconstruct(model, Xs)
-    E = np.subtract(Xs, X_hat, out=X_hat)
-    scores = np.sum(np.abs(E), axis=1)
+    Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
+    scores = np.empty(len(Xs))
+    for lo in range(0, len(Xs), SCORE_BLOCK_ROWS):
+        block = Xs[lo:lo + SCORE_BLOCK_ROWS]
+        np.subtract(block, reconstruct(model, block), out=block)
+        # each row sums on its own, so the block's 1-norms are the whole matrix's
+        scores[lo:lo + SCORE_BLOCK_ROWS] = np.sum(np.abs(block), axis=1)
     bad = np.flatnonzero(~np.isfinite(scores))
     if len(bad):
         raise ArtifactError(
             f"non-finite anomaly score at window {int(bad[0])}; check the model and scaler"
         )
-    return scores, E
+    return scores, Xs
 
 
 def nearest_rank(n: int, percentile: float) -> int:

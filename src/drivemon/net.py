@@ -409,19 +409,8 @@ def train(
 
     grads = np.empty_like(model.params)
     state = AdamState.for_params([model.params])
-    # activation and residual buffers, one set per batch size
+    # activation and residual buffers, one set per training batch size
     buffers: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
-
-    def batch_loss(batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, float]:
-        acts, residual = buffers.get(len(batch), (None, None))
-        # divergence shows up as inf/nan loss and aborts below, so the
-        # overflow itself is not worth a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            out, acts = forward(model, batch, acts)
-        if residual is None:
-            residual = np.empty_like(out)
-        buffers[len(batch)] = acts, residual
-        return acts, residual, mse_loss(out, batch, residual)
 
     report = TrainReport()
     step = 0
@@ -430,7 +419,15 @@ def train(
         sse = 0.0
         for b0 in range(0, n_train, config.batch_size):
             batch = X[rows[b0:b0 + config.batch_size]]
-            acts, residual, loss = batch_loss(batch)
+            acts, residual = buffers.get(len(batch), (None, None))
+            # divergence shows up as inf/nan loss and aborts below, so the
+            # overflow itself is not worth a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                out, acts = forward(model, batch, acts)
+            if residual is None:
+                residual = np.empty_like(out)
+            buffers[len(batch)] = acts, residual
+            loss = mse_loss(out, batch, residual)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {b0 // config.batch_size}"
@@ -444,7 +441,11 @@ def train(
                 beta2=config.beta2, eps=config.eps,
             )
         report.train_losses.append(sse / (n_train * d))
-        _, _, val_loss = batch_loss(X_val)
+        # reconstruct runs forward's layers on the same rows, so the loss has forward's
+        # bits, without a cache of every layer's activations for the validation rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            X_hat = reconstruct(model, X_val)
+        val_loss = mse_loss(X_hat, X_val, residual=X_hat)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss after epoch {epoch}")
         report.val_losses.append(val_loss)
@@ -477,6 +478,15 @@ MODEL_FIELDS = {"variant": strict_str, "dims": list_of(strict_int),
                 "train_config": (nullable(object_of(TRAIN_CONFIG_FIELDS)), None)}
 
 
+def _params_bytes(model: AutoencoderModel) -> bytes:
+    return model.params.astype("<f8", copy=False).tobytes()
+
+
+def params_sha256(model: AutoencoderModel) -> str:
+    """SHA-256 of the model's parameter file, as save_model records it in the JSON."""
+    return _sha256(_params_bytes(model))
+
+
 def save_model(model: AutoencoderModel, path: str | Path) -> None:
     """Persist a model as JSON metadata plus its raw parameter file.
 
@@ -484,7 +494,7 @@ def save_model(model: AutoencoderModel, path: str | Path) -> None:
     JSON records their SHA-256 so a file from another model is refused.
     """
     path = Path(path)
-    raw = model.params.astype("<f8", copy=False).tobytes()
+    raw = _params_bytes(model)
     _params_file(path).write_bytes(raw)
     doc = {
         "variant": model.variant,

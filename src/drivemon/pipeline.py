@@ -71,12 +71,9 @@ def _read_pipeline(artifacts: Path) -> tuple[dict, dict, features.WindowSpec]:
     return doc, fields, spec
 
 
-def load_bundle(artifacts, stride_s: float | None = None):
-    """(model, scaler, spec) of an artifact directory, model and scaler checked to agree.
-
-    stride_s, when given, replaces the stored stride; the window length is the trained one.
-    """
-    artifacts = Path(artifacts)
+def _load_bundle(artifacts: Path, stride_s: float | None):
+    """load_bundle's (model, scaler, spec), then pipeline.json as written and its fields
+    as read back, each file read once."""
     model = net.load_model(artifacts / MODEL_FILE)
     scaler = features.MinMaxScaler.load(artifacts / SCALER_FILE)
     if model.variant != scaler.variant:
@@ -85,8 +82,18 @@ def load_bundle(artifacts, stride_s: float | None = None):
     if model.input_dim != len(scaler):
         raise ArtifactError(f"model expects {model.input_dim} features but scaler has "
                             f"{len(scaler)}")
-    _, _, spec = _read_pipeline(artifacts)
-    return model, scaler, spec if stride_s is None else replace(spec, stride_s=stride_s)
+    pipeline, fields, spec = _read_pipeline(artifacts)
+    if stride_s is not None:
+        spec = replace(spec, stride_s=stride_s)
+    return model, scaler, spec, pipeline, fields
+
+
+def load_bundle(artifacts, stride_s: float | None = None):
+    """(model, scaler, spec) of an artifact directory, model and scaler checked to agree.
+
+    stride_s, when given, replaces the stored stride; the window length is the trained one.
+    """
+    return _load_bundle(Path(artifacts), stride_s)[:3]
 
 
 def _file_sha256(path) -> str:
@@ -99,15 +106,14 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _calibration_inputs(artifacts: Path, data_sha256: str, stride_s: float) -> dict:
+def _calibration_inputs(model: net.AutoencoderModel, artifacts: Path, data_sha256: str,
+                        stride_s: float) -> dict:
     """The record fields, scores_sha256 aside, for scoring this data with these artifacts.
 
-    model.json's params_sha256 already covers model.params, which load_model checks.
+    params_sha256 is the model's, as model.json records it and load_model checks it.
     """
-    model_path = artifacts / MODEL_FILE
-    model_json = read_fields(read_json(model_path), net.MODEL_FIELDS, str(model_path))
     return {"data_sha256": data_sha256, "stride_s": stride_s,
-            "params_sha256": model_json["params_sha256"],
+            "params_sha256": net.params_sha256(model),
             "scaler_sha256": _file_sha256(artifacts / SCALER_FILE)}
 
 
@@ -154,8 +160,10 @@ def fit_pipeline(data, artifacts, variant: str, config: net.TrainConfig,
     scores, _ = detect.score_matrix(model, X)
     artifacts = Path(artifacts)
     artifacts.mkdir(parents=True, exist_ok=True)
-    # an earlier model's threshold is not this one's: detect exits 4 until calibrate runs
-    (artifacts / THRESHOLD_FILE).unlink(missing_ok=True)
+    # an earlier model's threshold and detect outputs are not this one's: detect exits 4
+    # until calibrate runs, and evaluate finds no report until detect runs
+    for name in (THRESHOLD_FILE, REPORT_CSV, REPORT_JSON, SCORES_FILE, METRICS_FILE):
+        (artifacts / name).unlink(missing_ok=True)
     net.save_model(model, artifacts / MODEL_FILE)
     scaler.save(artifacts / SCALER_FILE)
     with open(artifacts / LOSSES_FILE, "w") as fh:
@@ -165,7 +173,7 @@ def fit_pipeline(data, artifacts, variant: str, config: net.TrainConfig,
     pipeline = {"variant": variant, "window_s": spec.window_s,
                 "stride_s": spec.stride_s, "seed": config.rng_seed}
     _write_calibration(artifacts, pipeline,
-                       _calibration_inputs(artifacts, data_sha256, spec.stride_s),
+                       _calibration_inputs(model, artifacts, data_sha256, spec.stride_s),
                        scores, start_t, sol)
     return report, X.shape[0]
 
@@ -181,9 +189,8 @@ def calibrate_pipeline(data, artifacts, percentile: float = 99.9,
     scored afresh and the record rewritten for it.
     """
     artifacts = Path(artifacts)
-    model, scaler, spec = load_bundle(artifacts, stride_s)
-    pipeline, fields, _ = _read_pipeline(artifacts)
-    inputs = _calibration_inputs(artifacts, _file_sha256(data), spec.stride_s)
+    model, scaler, spec, pipeline, fields = _load_bundle(artifacts, stride_s)
+    inputs = _calibration_inputs(model, artifacts, _file_sha256(data), spec.stride_s)
     scores = _reusable_scores(artifacts, fields["calibration"], inputs)
     fresh = scores is None
     if fresh:

@@ -164,6 +164,25 @@ def test_retrain_drops_the_old_threshold(tmp_path, data_dir, capsys):
     assert run(*calibrate) == 0 and run(*detect) == 0
 
 
+def test_retrain_drops_the_last_detect_run(tmp_path, data_dir, capsys):
+    """The last detect run's report, scores and metrics belong to the model that made them:
+    train removes them, and evaluate then exits 3 naming the missing report.json."""
+    art = tmp_path / "art"
+    train = ("train", "--data", data_dir / "train.csv", "--artifacts", art, "--epochs")
+    evaluate = ("evaluate", "--artifacts", art, "--labels", data_dir / "labels.json")
+    assert run(*train, 2, "--seed", 1) == 0
+    assert run("calibrate", "--data", data_dir / "train.csv", "--artifacts", art) == 0
+    assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art) == 0
+    assert run(*evaluate) == 0
+    assert run(*train, 3, "--seed", 9) == 0
+    for name in ("report.json", "report.csv", "scores.csv", "metrics.json"):
+        assert not (art / name).exists(), name
+    capsys.readouterr()
+    assert run(*evaluate) == 3
+    err = capsys.readouterr().err
+    assert "missing evaluation input" in err and "report.json" in err
+
+
 def test_train_missing_data_exits_3(tmp_path):
     assert run("train", "--data", tmp_path / "nope.csv",
                "--artifacts", tmp_path / "a") == 3

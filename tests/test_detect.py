@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drivemon.detect import (
+    SCORE_BLOCK_ROWS,
     Threshold,
     calibrate,
     flag,
@@ -93,7 +94,7 @@ def prime_rows(n, seed=0):
     return build_model("prime", seed=3), scaler, rng.standard_normal((n, 322)) * 2.0
 
 
-@pytest.mark.parametrize("n", [1, 257, 2000])
+@pytest.mark.parametrize("n", [1, 257, 2000, SCORE_BLOCK_ROWS])
 def test_score_matrix_bitwise_matches_forward(n):
     """Layer-streamed scoring gives forward's residuals and 1-norms bit for bit."""
     model, scaler, X = prime_rows(n, seed=n)
@@ -114,6 +115,41 @@ def test_score_matrix_memory_is_bounded_by_two_layers():
     finally:
         tracemalloc.stop()
     assert peak < 4 * E.nbytes, f"peak {peak / 1e6:.1f} MB for {E.nbytes / 1e6:.1f} MB residuals"
+
+
+def test_score_matrix_scores_block_by_block():
+    """Past SCORE_BLOCK_ROWS rows, each block scores bit for bit as it would alone, within
+    1e-12 of one whole-matrix pass, and the residuals are written over the scaled rows."""
+    n = 2 * SCORE_BLOCK_ROWS + 37
+    model, scaler, X = prime_rows(n, seed=13)
+    Xs = scaler.transform(X)
+    E_ref = Xs - forward(model, Xs)[0]
+    blocks = [Xs[lo:lo + SCORE_BLOCK_ROWS].copy() for lo in range(0, n, SCORE_BLOCK_ROWS)]
+    scores, E = score_matrix(model, Xs)
+    assert E is Xs
+    for k, block in enumerate(blocks):
+        rows = slice(k * SCORE_BLOCK_ROWS, (k + 1) * SCORE_BLOCK_ROWS)
+        block_scores, block_E = score_matrix(model, block)
+        assert E[rows].tobytes() == block_E.tobytes()
+        assert scores[rows].tobytes() == block_scores.tobytes()
+    npt.assert_allclose(E, E_ref, rtol=0, atol=1e-12)
+    npt.assert_allclose(scores, np.sum(np.abs(E_ref), axis=1), rtol=1e-12, atol=0)
+
+
+def test_score_matrix_memory_is_bounded_by_the_block():
+    """Scoring 3 blocks' rows holds reconstruct's two block-sized buffers beside the scaled
+    rows, not two copies of them: the peak stays under 2.5 blocks of residuals."""
+    model, scaler, X = prime_rows(3 * SCORE_BLOCK_ROWS)
+    Xs = scaler.transform(X)
+    block_nbytes = SCORE_BLOCK_ROWS * Xs.shape[1] * Xs.itemsize
+    tracemalloc.start()
+    try:
+        score_matrix(model, Xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * block_nbytes, (f"peak {peak / 1e6:.1f} MB for "
+                                       f"{block_nbytes / 1e6:.1f} MB blocks")
 
 
 @pytest.mark.parametrize("n,p", [(1000, 99.9), (1000, 50.0), (4037, 99.9),

@@ -416,6 +416,21 @@ def test_train_memory_holds_no_copy_of_the_training_rows():
     assert peak < 3.5 * X.nbytes, f"peak {peak / 1e6:.1f} MB for a {X.nbytes / 1e6:.1f} MB X"
 
 
+def test_train_validation_holds_no_activation_cache():
+    """Each epoch's validation loss comes from reconstruct's two buffers: with half of 4 000
+    rows held out the peak stays under 3.5x X (3.1x measured); forward's cache of every
+    layer for the validation rows kept it at 5.0x."""
+    X = np.random.default_rng(3).random((4000, 322))
+    model = build_model("prime", seed=1)
+    tracemalloc.start()
+    try:
+        train(model, X, TrainConfig(rng_seed=1, epochs=1, validation_fraction=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * X.nbytes, f"peak {peak / 1e6:.1f} MB for a {X.nbytes / 1e6:.1f} MB X"
+
+
 def test_train_no_overfit_on_nominal_data():
     # 200-epoch run on a modest nominal set: validation tracks training
     X = _nominal_feature_matrix(duration_s=600.0, seed=2)

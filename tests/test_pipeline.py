@@ -4,11 +4,12 @@ and calibrate's reuse of the scores that train stored."""
 import json
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import drivemon as dm
-from drivemon import pipeline, telemetry
+from drivemon import detect, errors, features, net, pipeline, telemetry
 from drivemon.synth import NominalProfile, generate_nominal
 
 
@@ -169,3 +170,23 @@ def test_calibrate_without_a_record_scores_the_drive(tmp_path, drives, counted_r
     assert counted_reads == [drives / "train.csv"]
     assert (art / "calibration_scores.csv").read_bytes() == scores_before
     assert "calibration" in json.loads((art / "pipeline.json").read_text())
+
+
+def test_calibrate_reads_each_json_artifact_once(tmp_path, drives, monkeypatch):
+    """One calibrate parses model.json, scaler.json and pipeline.json once each, reusing
+    the stored scores or scoring the drive afresh."""
+    reads = []
+
+    def counting(path, *args, **kwargs):
+        reads.append(Path(path).name)
+        return errors.read_json(path, *args, **kwargs)
+
+    for module in (detect, features, net, pipeline):
+        monkeypatch.setattr(module, "read_json", counting)
+    art = tmp_path / "art"
+    shutil.copytree(drives / "art", art)
+    for _ in ("reused", "fresh"):
+        del reads[:]
+        dm.calibrate_pipeline(drives / "train.csv", art)
+        assert sorted(reads) == ["model.json", "pipeline.json", "scaler.json"]
+        _drop_calibration_record(art)
