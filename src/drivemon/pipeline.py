@@ -106,15 +106,11 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _calibration_inputs(model: net.AutoencoderModel, artifacts: Path, data_sha256: str,
-                        stride_s: float) -> dict:
-    """The record fields, scores_sha256 aside, for scoring this data with these artifacts.
-
-    params_sha256 is the model's, as model.json records it and load_model checks it.
-    """
-    return {"data_sha256": data_sha256, "stride_s": stride_s,
-            "params_sha256": net.params_sha256(model),
-            "scaler_sha256": _file_sha256(artifacts / SCALER_FILE)}
+def _record_inputs(model: net.AutoencoderModel, artifacts: Path, **data) -> dict:
+    """The calibration record fields, scores_sha256 aside: the data fields given, then
+    params_sha256 as model.json records it and load_model checks it, and scaler.json's."""
+    return dict(data, params_sha256=net.params_sha256(model),
+                scaler_sha256=_file_sha256(artifacts / SCALER_FILE))
 
 
 def _write_calibration(artifacts: Path, pipeline: dict, inputs: dict, scores, start_t,
@@ -129,16 +125,20 @@ def _write_calibration(artifacts: Path, pipeline: dict, inputs: dict, scores, st
     (artifacts / PIPELINE_FILE).write_text(json.dumps(dict(pipeline, calibration=record)) + "\n")
 
 
-def _reusable_scores(artifacts: Path, record: dict | None, inputs: dict):
-    """The stored calibration scores, if pipeline.json's calibration record vouches for
-    these inputs; else None. An absent record (None) means recompute."""
-    scores_path = artifacts / CALIBRATION_SCORES_FILE
-    if (record is None or any(record[key] != value for key, value in inputs.items())
-            or not scores_path.exists()
-            or _file_sha256(scores_path) != record["scores_sha256"]):
-        return None
-    scores, _, _ = detect.read_scores_csv(scores_path)
-    return scores
+def _vouched_scores(artifacts: Path, record: dict | None, inputs: dict):
+    """calibration_scores.csv's scores, when pipeline.json's calibration record vouches
+    for these inputs and for the file's SHA-256; else an ArtifactError naming both files.
+    The file is parsed before it is hashed, so that a bad row is named as such."""
+    path = artifacts / CALIBRATION_SCORES_FILE
+    stale = (["calibration"] if record is None
+             else [key for key, value in inputs.items() if record[key] != value])
+    if not stale and path.exists():
+        scores, _, _ = detect.read_scores_csv(path)
+        if _file_sha256(path) == record["scores_sha256"]:
+            return scores
+    raise ArtifactError(f"{path} is missing or is not the file that {artifacts / PIPELINE_FILE} "
+                        f"vouches for (field {', '.join(stale or ['scores_sha256'])}); "
+                        "rerun calibrate")
 
 
 def fit_pipeline(data, artifacts, variant: str, config: net.TrainConfig,
@@ -172,9 +172,8 @@ def fit_pipeline(data, artifacts, variant: str, config: net.TrainConfig,
             fh.write(f"{i},{tr!r},{va!r}\n")
     pipeline = {"variant": variant, "window_s": spec.window_s,
                 "stride_s": spec.stride_s, "seed": config.rng_seed}
-    _write_calibration(artifacts, pipeline,
-                       _calibration_inputs(model, artifacts, data_sha256, spec.stride_s),
-                       scores, start_t, sol)
+    _write_calibration(artifacts, pipeline, _record_inputs(
+        model, artifacts, data_sha256=data_sha256, stride_s=spec.stride_s), scores, start_t, sol)
     return report, X.shape[0]
 
 
@@ -190,9 +189,12 @@ def calibrate_pipeline(data, artifacts, percentile: float = 99.9,
     """
     artifacts = Path(artifacts)
     model, scaler, spec, pipeline, fields = _load_bundle(artifacts, stride_s)
-    inputs = _calibration_inputs(model, artifacts, _file_sha256(data), spec.stride_s)
-    scores = _reusable_scores(artifacts, fields["calibration"], inputs)
-    fresh = scores is None
+    inputs = _record_inputs(model, artifacts, data_sha256=_file_sha256(data),
+                            stride_s=spec.stride_s)
+    try:
+        scores, fresh = _vouched_scores(artifacts, fields["calibration"], inputs), False
+    except ArtifactError:
+        fresh = True
     if fresh:
         X, start_t, sol = _featurize(data, spec, model.variant)
         X = scaler.transform(X)  # the raw features are freed here, before scoring
@@ -208,16 +210,14 @@ def calibrate_pipeline(data, artifacts, percentile: float = 99.9,
 def detect_pipeline(data, artifacts, percentile: float | None = None,
                     stride_s: float | None = None):
     """Score a drive, write report.csv, report.json and scores.csv; return (records, scores,
-    threshold). A new percentile re-thresholds from calibration_scores.csv, not threshold.json."""
+    threshold). A new percentile re-thresholds from calibration_scores.csv, not threshold.json,
+    and only when pipeline.json's calibration record vouches for it under this model and scaler."""
     artifacts = Path(artifacts)
-    model, scaler, spec = load_bundle(artifacts, stride_s)
+    model, scaler, spec, _, fields = _load_bundle(artifacts, stride_s)
     threshold = detect.Threshold.load(artifacts / THRESHOLD_FILE)
     if percentile is not None and percentile != threshold.percentile:
-        cal_path = artifacts / CALIBRATION_SCORES_FILE
-        if not cal_path.exists():
-            raise ArtifactError(f"{cal_path} is required to re-threshold at a new "
-                                "percentile; rerun calibrate")
-        cal_scores, _, _ = detect.read_scores_csv(cal_path)
+        cal_scores = _vouched_scores(artifacts, fields["calibration"],
+                                     _record_inputs(model, artifacts))
         threshold = detect.calibrate(cal_scores, percentile)
     X, start_t, sol = _featurize(data, spec, model.variant)
     X = scaler.transform(X)

@@ -263,10 +263,12 @@ def make_dataset(
 ) -> tuple[TelemetryStream, LabeledStream]:
     """Clean training stream plus a labeled test stream with injected events.
 
-    The profile gives the training sol; the test drive is the next sol. Every
-    sub-stream and injection draws from a child of the given seed, so train
-    and test never share noise and the whole dataset is reproducible.
+    The profile, whose duration must be train_s, gives the training sol; the test
+    drive is the next sol. Every sub-stream and injection draws from a child of the
+    given seed, so train and test never share noise and the dataset is reproducible.
     """
+    if profile is not None and profile.duration_s != train_s:
+        raise DataError(f"profile duration_s {profile.duration_s} differs from train_s {train_s}")
     sol = 1000 if profile is None else profile.sol
     events = sorted(events, key=lambda e: e.t0)
     _check_events(events, 0.0, test_s)

@@ -236,8 +236,6 @@ def write_stream(stream: TelemetryStream, path: str | Path) -> None:
     """Write a stream as CSV; values use repr so read_stream round-trips exactly."""
     if not isinstance(stream, TelemetryStream):
         raise DataError("write_stream expects a TelemetryStream")
-    if len(stream) == 0:
-        raise DataError("empty stream")
     path = Path(path)
     try:
         with open(path, "w", newline="") as fh:

@@ -264,6 +264,50 @@ def test_detect_non_finite_calibration_scores_exits_4(tmp_path, data_dir, traine
     assert not (art / "report.json").exists()
 
 
+def _swap_model(art, other_seed_dir):
+    # the scaler depends on the data alone, so only the model differs
+    assert (art / "scaler.json").read_bytes() == (other_seed_dir / "scaler.json").read_bytes()
+    for name in ("model.json", "model.params"):
+        (art / name).write_bytes((other_seed_dir / name).read_bytes())
+
+
+def _double_scores(art, other_seed_dir):
+    path = art / "calibration_scores.csv"
+    header, *rows = path.read_text().splitlines()
+    rows = [f"{head},{2.0 * float(score)!r}" for head, score in (r.rsplit(",", 1) for r in rows)]
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+def _drop_record(art, other_seed_dir):
+    doc = json.loads((art / "pipeline.json").read_text())
+    del doc["calibration"]
+    (art / "pipeline.json").write_text(json.dumps(doc) + "\n")
+
+
+def _drop_scores(art, other_seed_dir):
+    (art / "calibration_scores.csv").unlink()
+
+
+@pytest.mark.parametrize("change,field", [
+    (_swap_model, "params_sha256"), (_double_scores, "scores_sha256"),
+    (_drop_record, "calibration"), (_drop_scores, "scores_sha256"),
+], ids=["swapped-model", "doubled-scores", "no-record", "missing-scores"])
+def test_detect_percentile_needs_vouched_scores(tmp_path, data_dir, trained_dir, other_seed_dir,
+                                                capsys, change, field):
+    """detect --percentile re-thresholds only from the calibration scores that pipeline.json's
+    calibration record vouches for under the model and scaler in the directory; otherwise
+    it exits 4 naming both files, and writes no report."""
+    art = tmp_path / "art"
+    shutil.copytree(trained_dir, art, ignore=shutil.ignore_patterns("report.*", "scores.csv"))
+    change(art, other_seed_dir)
+    assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art,
+               "--percentile", 50) == 4
+    err = capsys.readouterr().err
+    assert "calibration_scores.csv" in err and "pipeline.json" in err and field in err
+    assert "rerun calibrate" in err and "Traceback" not in err
+    assert not (art / "report.json").exists()
+
+
 def test_detect_variant_mismatch_exits_4(tmp_path, data_dir, trained_dir):
     art = tmp_path / "art"
     art.mkdir()

@@ -231,6 +231,14 @@ def test_make_dataset_equals_injecting_each_event():
     assert np.array_equal(labeled.stream.values, test.values)
 
 
+def test_make_dataset_refuses_a_profile_of_another_length():
+    """The training drive is train_s long; a profile that says otherwise is refused."""
+    with pytest.raises(DataError, match="duration_s 9999.0 differs from train_s 40.0"):
+        make_dataset(40.0, 40.0, [], 1, profile=NominalProfile(duration_s=9999.0, sol=5))
+    train, _ = make_dataset(40.0, 40.0, [], 1, profile=NominalProfile(duration_s=40.0, sol=5))
+    assert len(train) == 320 and int(train.sol[0]) == 5
+
+
 def test_make_dataset_rejects_overlap():
     events = [AnomalyEvent(kind="RockDrop", t0=10.0),
               AnomalyEvent(kind="RockDrop", t0=12.0)]
