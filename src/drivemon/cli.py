@@ -15,7 +15,7 @@ from . import pipeline, synth
 from .errors import ArtifactError, DataError, PipelineError
 from .features import WindowSpec
 from .net import TrainConfig
-from .telemetry import SOL_LIMIT, is_frame_aligned, write_stream
+from .telemetry import SOL_LIMIT, write_stream
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,8 +87,12 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     except IndexError:
         return argv  # argparse will report the missing value
     rest = argv[:i] + argv[i + 2:]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path} is not UTF-8 text: {exc}") from None
     pairs: list[str] = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -144,8 +148,11 @@ def _check_scoring_flags(args, parser: argparse.ArgumentParser) -> None:
     """Reject an out-of-range --percentile or --stride-s (exit 2) before any artifact loads."""
     if args.percentile is not None and not 0.0 < args.percentile < 100.0:
         parser.error("--percentile must be in (0, 100)")
-    if args.stride_s is not None and not (args.stride_s > 0 and is_frame_aligned(args.stride_s)):
-        parser.error("--stride-s must be a positive whole number of 0.125 s frames")
+    if args.stride_s is not None:
+        try:
+            WindowSpec(stride_s=args.stride_s)  # the stride rule train's --stride-s meets
+        except DataError:
+            parser.error("--stride-s must be a positive whole number of 0.125 s frames")
 
 
 def cmd_calibrate(args, parser: argparse.ArgumentParser) -> None:

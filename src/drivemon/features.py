@@ -45,12 +45,14 @@ class WindowSpec:
     stride_s: float = 1.0
 
     def __post_init__(self):
-        if not is_frame_aligned(self.window_s) or not is_frame_aligned(self.stride_s):
-            raise DataError("window and stride must be whole frame counts at 8 Hz")
+        for name in ("window_s", "stride_s"):
+            if not is_frame_aligned(getattr(self, name)):
+                raise DataError(f"{name} is {getattr(self, name)}, but window and stride "
+                                "must be whole frame counts at 8 Hz")
         if self.window_frames < 2:
-            raise DataError("window must cover at least 2 frames")
+            raise DataError("window_s must cover at least 2 frames")
         if self.stride_frames < 1:
-            raise DataError("stride must cover at least 1 frame")
+            raise DataError("stride_s must cover at least 1 frame")
 
     @property
     def window_frames(self) -> int:

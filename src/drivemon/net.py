@@ -88,6 +88,9 @@ class AutoencoderModel:
 
     ``params`` is the model: ``weights`` and ``biases`` are tuples of views
     into it, so writing to one of those arrays in place writes to the model.
+    ``params_sha256`` is the SHA-256 that save_model or load_model last took of
+    the parameter file, as model.json records it; None before either, and not
+    updated when ``params`` change in place.
     """
 
     variant: str
@@ -98,6 +101,7 @@ class AutoencoderModel:
     train_config: dict | None = None
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False)  # W_l is (out_l, in_l)
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    params_sha256: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.dims, self.activations = tuple(self.dims), tuple(self.activations)
@@ -358,6 +362,13 @@ class TrainConfig:
             raise DataError("validation_fraction must be in (0, 1)")
         if self.batch_size < 1:
             raise DataError("batch_size must be >= 1")
+        # each range is written so that NaN fails it
+        if not 0.0 < self.learning_rate < np.inf:
+            raise DataError("learning_rate must be finite and > 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise DataError("beta1 and beta2 must be in [0, 1)")
+        if not 0.0 < self.eps < np.inf:
+            raise DataError("eps must be finite and > 0")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -478,29 +489,22 @@ MODEL_FIELDS = {"variant": strict_str, "dims": list_of(strict_int),
                 "train_config": (nullable(object_of(TRAIN_CONFIG_FIELDS)), None)}
 
 
-def _params_bytes(model: AutoencoderModel) -> bytes:
-    return model.params.astype("<f8", copy=False).tobytes()
-
-
-def params_sha256(model: AutoencoderModel) -> str:
-    """SHA-256 of the model's parameter file, as save_model records it in the JSON."""
-    return _sha256(_params_bytes(model))
-
-
 def save_model(model: AutoencoderModel, path: str | Path) -> None:
     """Persist a model as JSON metadata plus its raw parameter file.
 
     The "<f8" bytes of ``params`` go to the sibling ``.params`` file, and the
-    JSON records their SHA-256 so a file from another model is refused.
+    JSON records their SHA-256, also kept as ``model.params_sha256``, so a file
+    from another model is refused.
     """
     path = Path(path)
-    raw = _params_bytes(model)
+    raw = model.params.astype("<f8", copy=False).tobytes()
     _params_file(path).write_bytes(raw)
+    model.params_sha256 = _sha256(raw)
     doc = {
         "variant": model.variant,
         "dims": list(model.dims),
         "activations": list(model.activations),
-        "params_sha256": _sha256(raw),
+        "params_sha256": model.params_sha256,
         "seed": model.seed,
         "train_config": model.train_config,
     }
@@ -511,7 +515,8 @@ def load_model(path: str | Path) -> AutoencoderModel:
     """Load a persisted model, validating its structure and parameters.
 
     The parameter file's name comes from ``path``, never from the JSON, and
-    its bytes must match the recorded SHA-256 before they are used.
+    its bytes must match the recorded SHA-256, kept as ``model.params_sha256``,
+    before they are used.
     """
     path = Path(path)
     params_path = _params_file(path)
@@ -545,4 +550,5 @@ def load_model(path: str | Path) -> AutoencoderModel:
         if not (np.isfinite(W).all() and np.isfinite(b).all()):
             raise ArtifactError(f"{path}: layer {l} has non-finite weights or biases "
                                 f"in {params_path.name}")
+    model.params_sha256 = doc["params_sha256"]
     return model

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import derive, detect, features, net, synth, telemetry
-from .errors import (ArtifactError, DataError, object_of, read_fields, read_json, sha256_hex,
-                     strict_float)
+from .errors import (ArtifactError, DataError, nullable, object_of, read_fields, read_json,
+                     sha256_hex, strict_float)
 
 MODEL_FILE = "model.json"
 SCALER_FILE = "scaler.json"
@@ -49,10 +49,14 @@ def _featurize(data, spec: features.WindowSpec, variant: str):
     return X, start_t, sol
 
 
-#: The calibration record in pipeline.json: field -> how it is read back.
+#: The calibration record in pipeline.json: field -> how it is read back. A record
+#: written before threshold_sha256 existed reads it as None, as train writes it.
 CALIBRATION_FIELDS = {"data_sha256": sha256_hex, "stride_s": strict_float,
                       "params_sha256": sha256_hex, "scaler_sha256": sha256_hex,
-                      "scores_sha256": sha256_hex}
+                      "scores_sha256": sha256_hex,
+                      "threshold_sha256": (nullable(sha256_hex), None)}
+#: The record field holding each vouched-for artifact's SHA-256.
+DIGEST_KEYS = {CALIBRATION_SCORES_FILE: "scores_sha256", THRESHOLD_FILE: "threshold_sha256"}
 #: pipeline.json: field -> how it is read back; "variant" and "seed" are written for
 #: people only, and a missing calibration record reads as None.
 PIPELINE_FIELDS = {"window_s": strict_float, "stride_s": strict_float,
@@ -107,38 +111,37 @@ def _file_sha256(path) -> str:
 
 
 def _record_inputs(model: net.AutoencoderModel, artifacts: Path, **data) -> dict:
-    """The calibration record fields, scores_sha256 aside: the data fields given, then
-    params_sha256 as model.json records it and load_model checks it, and scaler.json's."""
-    return dict(data, params_sha256=net.params_sha256(model),
+    """The calibration record fields that its artifacts' digests rest on: the data fields
+    given, then the params_sha256 that save_model or load_model took, and scaler.json's."""
+    return dict(data, params_sha256=model.params_sha256,
                 scaler_sha256=_file_sha256(artifacts / SCALER_FILE))
 
 
-def _write_calibration(artifacts: Path, pipeline: dict, inputs: dict, scores, start_t,
-                       sol) -> None:
-    """Write calibration_scores.csv, then pipeline.json with the record that vouches for it.
-
-    pipeline.json goes last, so a run cut short leaves a record that no longer matches.
-    """
-    scores_path = artifacts / CALIBRATION_SCORES_FILE
-    detect.write_scores_csv(scores_path, scores, start_t, sol)
-    record = dict(inputs, scores_sha256=_file_sha256(scores_path))
+def _write_record(artifacts: Path, pipeline: dict, inputs: dict, **digests) -> None:
+    """Write pipeline.json with the calibration record: the inputs, then each artifact's
+    digest. Every stage writes it after the artifacts, so a run cut short leaves a record
+    that no longer matches them."""
+    record = dict(inputs, **digests)
     (artifacts / PIPELINE_FILE).write_text(json.dumps(dict(pipeline, calibration=record)) + "\n")
 
 
-def _vouched_scores(artifacts: Path, record: dict | None, inputs: dict):
-    """calibration_scores.csv's scores, when pipeline.json's calibration record vouches
+def _vouched(artifacts: Path, name: str, read, record: dict | None, inputs: dict):
+    """read(path) of the artifact `name`, when pipeline.json's calibration record vouches
     for these inputs and for the file's SHA-256; else an ArtifactError naming both files.
-    The file is parsed before it is hashed, so that a bad row is named as such."""
-    path = artifacts / CALIBRATION_SCORES_FILE
+    The file is read before it is hashed, so that a bad field or row is named as such."""
+    path, field = artifacts / name, DIGEST_KEYS[name]
     stale = (["calibration"] if record is None
              else [key for key, value in inputs.items() if record[key] != value])
     if not stale and path.exists():
-        scores, _, _ = detect.read_scores_csv(path)
-        if _file_sha256(path) == record["scores_sha256"]:
-            return scores
+        value = read(path)
+        if _file_sha256(path) == record[field]:
+            return value
     raise ArtifactError(f"{path} is missing or is not the file that {artifacts / PIPELINE_FILE} "
-                        f"vouches for (field {', '.join(stale or ['scores_sha256'])}); "
-                        "rerun calibrate")
+                        f"vouches for (field {', '.join(stale or [field])}); rerun calibrate")
+
+
+def _read_scores(path) -> np.ndarray:
+    return detect.read_scores_csv(path)[0]
 
 
 def fit_pipeline(data, artifacts, variant: str, config: net.TrainConfig,
@@ -170,10 +173,13 @@ def fit_pipeline(data, artifacts, variant: str, config: net.TrainConfig,
         fh.write("epoch,train_loss,val_loss\n")
         for i, (tr, va) in enumerate(zip(report.train_losses, report.val_losses), 1):
             fh.write(f"{i},{tr!r},{va!r}\n")
+    scores_path = artifacts / CALIBRATION_SCORES_FILE
+    detect.write_scores_csv(scores_path, scores, start_t, sol)
     pipeline = {"variant": variant, "window_s": spec.window_s,
                 "stride_s": spec.stride_s, "seed": config.rng_seed}
-    _write_calibration(artifacts, pipeline, _record_inputs(
-        model, artifacts, data_sha256=data_sha256, stride_s=spec.stride_s), scores, start_t, sol)
+    _write_record(artifacts, pipeline, _record_inputs(
+        model, artifacts, data_sha256=data_sha256, stride_s=spec.stride_s),
+        scores_sha256=_file_sha256(scores_path), threshold_sha256=None)
     return report, X.shape[0]
 
 
@@ -185,14 +191,16 @@ def calibrate_pipeline(data, artifacts, percentile: float = 99.9,
     The scores train stored are reused when pipeline.json's calibration record
     matches this data's SHA-256, the effective stride, the model and the scaler,
     and calibration_scores.csv has the recorded SHA-256. Otherwise the drive is
-    scored afresh and the record rewritten for it.
+    scored afresh. Either way the record is rewritten last, with threshold.json's
+    SHA-256, so that detect trusts this threshold only beside this model and scaler.
     """
     artifacts = Path(artifacts)
     model, scaler, spec, pipeline, fields = _load_bundle(artifacts, stride_s)
     inputs = _record_inputs(model, artifacts, data_sha256=_file_sha256(data),
                             stride_s=spec.stride_s)
     try:
-        scores, fresh = _vouched_scores(artifacts, fields["calibration"], inputs), False
+        scores, fresh = _vouched(artifacts, CALIBRATION_SCORES_FILE, _read_scores,
+                                 fields["calibration"], inputs), False
     except ArtifactError:
         fresh = True
     if fresh:
@@ -201,24 +209,33 @@ def calibrate_pipeline(data, artifacts, percentile: float = 99.9,
         scores, _ = detect.score_matrix(model, X)
     # too few scores raises here, before any file is written
     threshold = detect.calibrate(scores, percentile)
-    threshold.save(artifacts / THRESHOLD_FILE)
+    scores_path = artifacts / CALIBRATION_SCORES_FILE
     if fresh:
-        _write_calibration(artifacts, pipeline, inputs, scores, start_t, sol)
+        detect.write_scores_csv(scores_path, scores, start_t, sol)
+    threshold.save(artifacts / THRESHOLD_FILE)
+    _write_record(artifacts, pipeline, inputs, scores_sha256=_file_sha256(scores_path),
+                  threshold_sha256=_file_sha256(artifacts / THRESHOLD_FILE))
     return threshold
 
 
 def detect_pipeline(data, artifacts, percentile: float | None = None,
                     stride_s: float | None = None):
     """Score a drive, write report.csv, report.json and scores.csv; return (records, scores,
-    threshold). A new percentile re-thresholds from calibration_scores.csv, not threshold.json,
-    and only when pipeline.json's calibration record vouches for it under this model and scaler."""
+    threshold).
+
+    The run thresholds from threshold.json, or, for a new percentile, from
+    calibration_scores.csv; either file is used only when pipeline.json's calibration
+    record vouches for it under the model and scaler in the directory.
+    """
     artifacts = Path(artifacts)
     model, scaler, spec, _, fields = _load_bundle(artifacts, stride_s)
     threshold = detect.Threshold.load(artifacts / THRESHOLD_FILE)
-    if percentile is not None and percentile != threshold.percentile:
-        cal_scores = _vouched_scores(artifacts, fields["calibration"],
-                                     _record_inputs(model, artifacts))
-        threshold = detect.calibrate(cal_scores, percentile)
+    record, inputs = fields["calibration"], _record_inputs(model, artifacts)
+    if percentile in (None, threshold.percentile):
+        _vouched(artifacts, THRESHOLD_FILE, lambda path: threshold, record, inputs)  # parsed
+    else:
+        scores = _vouched(artifacts, CALIBRATION_SCORES_FILE, _read_scores, record, inputs)
+        threshold = detect.calibrate(scores, percentile)
     X, start_t, sol = _featurize(data, spec, model.variant)
     X = scaler.transform(X)
     scores, E = detect.score_matrix(model, X)

@@ -129,6 +129,7 @@ def test_train_artifacts(data_dir, trained_dir):
                             "params_sha256": sha256_of(trained_dir / "model.params"),
                             "scaler_sha256": sha256_of(trained_dir / "scaler.json"),
                             "scores_sha256": sha256_of(trained_dir / "calibration_scores.csv"),
+                            "threshold_sha256": sha256_of(trained_dir / "threshold.json"),
                         }}
 
 
@@ -143,6 +144,8 @@ def test_train_rerun_byte_identical(tmp_path, data_dir, trained_dir):
     art = tmp_path / "art"
     assert run("train", "--data", data_dir / "train.csv", "--artifacts", art,
                "--variant", "prime", "--seed", 3, "--epochs", 3) == 0
+    # trained_dir was calibrated too, and calibrate rewrites pipeline.json's record
+    assert run("calibrate", "--data", data_dir / "train.csv", "--artifacts", art) == 0
     for name in ("model.json", "model.params", "scaler.json", "losses.csv", "pipeline.json"):
         assert (art / name).read_bytes() == (trained_dir / name).read_bytes()
 
@@ -308,6 +311,38 @@ def test_detect_percentile_needs_vouched_scores(tmp_path, data_dir, trained_dir,
     assert not (art / "report.json").exists()
 
 
+def _edit_threshold(art, other_seed_dir):
+    path = art / "threshold.json"
+    doc = json.loads(path.read_text())
+    doc["value"] *= 0.5  # a valid file that flags more windows
+    path.write_text(json.dumps(doc) + "\n")
+
+
+@pytest.mark.parametrize("percentile", [None, 99.9], ids=["default", "stored-percentile"])
+@pytest.mark.parametrize("change,field", [
+    (_swap_model, "params_sha256"), (_edit_threshold, "threshold_sha256"),
+    (_drop_record, "calibration"),
+], ids=["swapped-model", "edited-threshold", "no-record"])
+def test_detect_needs_a_vouched_threshold(tmp_path, data_dir, trained_dir, other_seed_dir,
+                                          capsys, change, field, percentile):
+    """detect thresholds from threshold.json only when pipeline.json's calibration record
+    vouches for it under the model and scaler in the directory; otherwise it exits 4
+    naming both files and writes no report, until calibrate runs again."""
+    art = tmp_path / "art"
+    shutil.copytree(trained_dir, art, ignore=shutil.ignore_patterns("report.*", "scores.csv"))
+    change(art, other_seed_dir)
+    detect = ["detect", "--data", data_dir / "test.csv", "--artifacts", art]
+    if percentile is not None:
+        detect += ["--percentile", percentile]
+    assert run(*detect) == 4
+    err = capsys.readouterr().err
+    assert "threshold.json" in err and "pipeline.json" in err and field in err
+    assert "rerun calibrate" in err and "Traceback" not in err
+    assert not (art / "report.json").exists()
+    assert run("calibrate", "--data", data_dir / "train.csv", "--artifacts", art) == 0
+    assert run(*detect) == 0
+
+
 def test_detect_variant_mismatch_exits_4(tmp_path, data_dir, trained_dir):
     art = tmp_path / "art"
     art.mkdir()
@@ -330,8 +365,10 @@ def test_detect_perfect_stub_model_zero_flags(tmp_path, data_dir):
     X, _, _ = feature_matrix(derive_stream(read_stream(data_dir / "test.csv")),
                              WindowSpec(), feature_mask("prime"))
     fit_scaler(X, variant="prime").save(art / "scaler.json")
-    Threshold(percentile=99.9, value=0.0, calibration_size=1000).save(art / "threshold.json")
     write_pipeline_json(art)
+    # calibrate writes the threshold and the record that vouches for it
+    assert run("calibrate", "--data", data_dir / "train.csv", "--artifacts", art) == 0
+    assert Threshold.load(art / "threshold.json").value == 0.0
     assert run("detect", "--data", data_dir / "test.csv", "--artifacts", art) == 0
     assert json.loads((art / "report.json").read_text()) == []
 
@@ -430,6 +467,16 @@ def test_config_file_flags_win(tmp_path):
 
 def test_missing_config_file_exits_2(tmp_path):
     assert run("generate", "--out", tmp_path, "--config", tmp_path / "nope.cfg") == 2
+
+
+def test_undecodable_config_file_exits_2(tmp_path, capsys):
+    """A config file that is not UTF-8 is a usage error naming the file, not a traceback."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed=\xff\xfe\n")
+    assert run("generate", "--out", tmp_path / "out", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err and str(cfg) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_corrupt_model_artifact_exits_4(tmp_path, data_dir):
@@ -666,8 +713,11 @@ def test_scoring_flag_range_exits_2(tmp_path, data_dir, command, flag, value):
 @pytest.mark.parametrize("flag,value", [
     ("--epochs", 0), ("--batch-size", 0), ("--val-fraction", 0), ("--val-fraction", 1),
     ("--window-s", 0.3), ("--stride-s", 0.3), ("--seed", -1),
+    ("--learning-rate", -0.001), ("--learning-rate", 0), ("--learning-rate", "nan"),
+    ("--learning-rate", "inf"),
 ], ids=["epochs-0", "batch-size-0", "val-fraction-0", "val-fraction-1", "window-s-off-grid",
-        "stride-s-off-grid", "seed-negative"])
+        "stride-s-off-grid", "seed-negative", "learning-rate-negative", "learning-rate-0",
+        "learning-rate-nan", "learning-rate-inf"])
 def test_train_flag_range_exits_2(tmp_path, capsys, flag, value):
     """An out-of-range training flag is a usage error, found before the data is read."""
     with pytest.raises(SystemExit) as exc:

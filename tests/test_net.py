@@ -459,6 +459,19 @@ def test_train_guards():
         TrainConfig(rng_seed=0, validation_fraction=1.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")), ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
+    ("beta2", 1.0), ("beta2", float("inf")), ("eps", 0.0), ("eps", float("inf")),
+    ("eps", float("nan")),
+])
+def test_train_config_refuses_out_of_range_adam_settings(field, value):
+    """ADAM's step size and epsilon must be finite and positive, and each moment decay in
+    [0, 1); a bad one is named before any data is read."""
+    with pytest.raises(DataError, match=field):
+        TrainConfig(rng_seed=0, **{field: value})
+
+
 def _stored_params(path):
     """The parameter buffer save_model wrote beside the model JSON at path."""
     return np.frombuffer(path.with_suffix(".params").read_bytes(), dtype="<f8")

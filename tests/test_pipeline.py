@@ -190,3 +190,24 @@ def test_calibrate_reads_each_json_artifact_once(tmp_path, drives, monkeypatch):
         dm.calibrate_pipeline(drives / "train.csv", art)
         assert sorted(reads) == ["model.json", "pipeline.json", "scaler.json"]
         _drop_calibration_record(art)
+
+
+def test_each_stage_hashes_the_parameters_once(tmp_path, drives, monkeypatch):
+    """fit, calibrate and detect each take one SHA-256 of the 2.4 MB parameter buffer:
+    save_model's or load_model's, which the calibration record reuses."""
+    sizes = []
+    sha256 = net._sha256
+    monkeypatch.setattr(net, "_sha256", lambda raw: sizes.append(len(raw)) or sha256(raw))
+    art, data = tmp_path / "art", drives / "train.csv"
+    stages = {
+        "fit": lambda: dm.fit_pipeline(data, art, "prime", dm.TrainConfig(rng_seed=1, epochs=1)),
+        "calibrate": lambda: dm.calibrate_pipeline(data, art),
+        "detect": lambda: dm.detect_pipeline(drives / "other.csv", art),
+        "detect --percentile": lambda: dm.detect_pipeline(drives / "other.csv", art, 50.0),
+    }
+    counts = {}
+    for name, stage in stages.items():
+        del sizes[:]
+        stage()
+        counts[name] = sum(size >= 1 << 20 for size in sizes)
+    assert counts == dict.fromkeys(stages, 1)
