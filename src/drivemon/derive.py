@@ -98,16 +98,25 @@ class DerivedStream:
         return self.values[:, derived_index(name)]
 
 
-def derive_stream(stream: TelemetryStream) -> DerivedStream:
-    """Compute the 18 derived signals and assemble the 46-channel stream."""
-    currents = stream.values[:, 0:6]
-    rates = stream.values[:, 6:12]
-    voltages = stream.values[:, 12:18]
+def derive_values(raw: np.ndarray) -> np.ndarray:
+    """The (n, 46) derived channels of (n, 28) sensor frames, each frame on its own.
+
+    Every value depends on its frame alone, so frames derived a block at a time
+    have the bits of the whole stream derived at once.
+    """
+    currents = raw[:, 0:6]
+    rates = raw[:, 6:12]
+    voltages = raw[:, 12:18]
     powers = power(currents, voltages)
-    out = np.empty((len(stream), N_DERIVED), dtype=np.float64)
+    out = np.empty((len(raw), N_DERIVED), dtype=np.float64)
     # wheel w's k-th signal in WHEEL_SIGNALS order is column 6*w + k
     for k, signal in enumerate((currents, deviation(currents), rates, voltages, powers,
                                 deviation(powers))):
         out[:, k:36:6] = signal
-    out[:, 36:] = stream.values[:, 18:]
-    return DerivedStream(t=stream.t, sol=stream.sol, values=out)
+    out[:, 36:] = raw[:, 18:]
+    return out
+
+
+def derive_stream(stream: TelemetryStream) -> DerivedStream:
+    """Compute the 18 derived signals and assemble the 46-channel stream."""
+    return DerivedStream(t=stream.t, sol=stream.sol, values=derive_values(stream.values))

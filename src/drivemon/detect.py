@@ -31,7 +31,7 @@ MAX_CONTRIBUTORS = 3
 #: Rows per reconstruct call in score_matrix. A matmul over fewer rows can round some
 #: rows differently, so a drive of more windows than this scores within an ulp or two of
 #: one whole-matrix call, not bit for bit.
-SCORE_BLOCK_ROWS = 4096
+SCORE_BLOCK_ROWS = 2048
 
 
 #: threshold.json: field -> how it is read back.

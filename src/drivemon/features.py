@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .derive import DERIVED_CHANNELS, DerivedStream, channel_display
+from .derive import DERIVED_CHANNELS, DerivedStream, channel_display, derive_values
 from .errors import (ArtifactError, DataError, list_of, read_fields, read_json, strict_float,
                      strict_str)
-from .telemetry import SAMPLE_RATE_HZ, is_frame_aligned
+from .telemetry import SAMPLE_RATE_HZ, TelemetryStream, is_frame_aligned
 
 #: Statistic names in canonical order. `index = channel*7 + stat` depends on it.
 STATS = ("mean", "std", "kurt", "skew", "min", "max", "median")
@@ -125,19 +125,29 @@ def variant_for_length(n: int) -> str:
     raise DataError(f"no variant has {n} features")
 
 
+def _windows(values: np.ndarray, spec: WindowSpec) -> np.ndarray:
+    """(n_windows, frames, channels) strided view of every window in (n, channels) frames.
+
+    A view, no copy until the statistics, so frames sliced from one array keep its strides.
+    """
+    view = sliding_window_view(values, spec.window_frames, axis=0)[::spec.stride_frames]
+    return np.swapaxes(view, 1, 2)
+
+
+def _window_starts(n: int, spec: WindowSpec) -> np.ndarray:
+    """First frame of every complete window of an n-frame stream."""
+    return np.arange(0, n - spec.window_frames + 1, spec.stride_frames)
+
+
 def window_arrays(
     stream: DerivedStream, spec: WindowSpec = WindowSpec()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized windowing: (n, frames, 46) data plus per-window start_t and sol."""
-    w, s = spec.window_frames, spec.stride_frames
-    n = len(stream)
-    if n < w:
-        return np.empty((0, w, stream.values.shape[1])), np.empty(0), np.empty(0, dtype=np.int64)
-    # (n-w+1, 46, w) view, strided to every s-th start, no copy until stats
-    view = sliding_window_view(stream.values, w, axis=0)[::s]
-    data = np.swapaxes(view, 1, 2)
-    starts = np.arange(0, n - w + 1, s)
-    return data, stream.t[starts], stream.sol[starts]
+    if len(stream) < spec.window_frames:
+        return (np.empty((0, spec.window_frames, stream.values.shape[1])), np.empty(0),
+                np.empty(0, dtype=np.int64))
+    starts = _window_starts(len(stream), spec)
+    return _windows(stream.values, spec), stream.t[starts], stream.sol[starts]
 
 
 def _stats_block(data: np.ndarray) -> np.ndarray:
@@ -185,20 +195,28 @@ def stats7(samples) -> np.ndarray:
 
 
 def feature_matrix(
-    stream: DerivedStream, spec: WindowSpec, mask: FeatureMask
+    stream: TelemetryStream | DerivedStream, spec: WindowSpec, mask: FeatureMask
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Featurize every window of a stream, STATS_BLOCK_WINDOWS windows at a time.
 
     Returns (X, start_t, sol) with X of shape (n_windows, len(mask)); row i
-    holds the masked statistics of the window starting at start_t[i].
+    holds the masked statistics of the window starting at start_t[i]. Handed
+    raw telemetry, it derives each block's frames as it reaches them, so the
+    drive's 46 derived channels are never held whole; X has the same bits.
     """
-    data, start_t, sol = window_arrays(stream, spec)
-    X = np.empty((data.shape[0], len(mask)))
-    for lo in range(0, data.shape[0], STATS_BLOCK_WINDOWS):
-        # slices of the strided view, never a copy, so each window's sums keep their order
-        block = _stats_block(data[lo:lo + STATS_BLOCK_WINDOWS])
-        X[lo:lo + len(block)] = block.reshape(len(block), -1)[:, mask.indices]
-    return X, start_t, sol
+    w, s = spec.window_frames, spec.stride_frames
+    starts = _window_starts(len(stream), spec)
+    X = np.empty((len(starts), len(mask)))
+    for lo in range(0, len(starts), STATS_BLOCK_WINDOWS):
+        hi = min(lo + STATS_BLOCK_WINDOWS, len(starts))
+        frames = stream.values[lo * s:(hi - 1) * s + w]
+        if isinstance(stream, TelemetryStream):
+            frames = derive_values(frames)
+        # windows of one (frames, 46) array, never a copy, so each window's sums keep
+        # the order they have in the whole derived stream
+        block = _stats_block(_windows(frames, spec))
+        X[lo:hi] = block.reshape(hi - lo, -1)[:, mask.indices]
+    return X, stream.t[starts], stream.sol[starts]
 
 
 #: scaler.json: field -> how it is read back; "constant" is written for people only.

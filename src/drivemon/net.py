@@ -217,12 +217,18 @@ def reconstruct(model: AutoencoderModel, x) -> np.ndarray:
     at most two layers are held at a time, always in the same two allocations.
     """
     a, squeeze = _input_rows(model, x)
+    size = len(a) * max(model.dims[1:])
+    a = _run_layers(model, a, (np.empty(size), np.empty(size)))
+    return a[0] if squeeze else a
+
+
+def _run_layers(model: AutoencoderModel, a: np.ndarray, buffers) -> np.ndarray:
+    """The network's output on the rows a; layer l writes into buffers[l % 2], each a
+    flat buffer with room for len(a) rows of any layer. a may lie in buffers[1] only."""
     n = len(a)
-    size = n * max(model.dims[1:])
-    buffers = np.empty(size), np.empty(size)
     for l, width in enumerate(model.dims[1:]):
         a = _layer(model, l, a, buffers[l % 2][:n * width].reshape(n, width))
-    return a[0] if squeeze else a
+    return a
 
 
 def encode(model: AutoencoderModel, x) -> np.ndarray:
@@ -415,8 +421,14 @@ def train(
     n_val = min(max(1, round(n * config.validation_fraction)), n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     # batches are gathered from X itself, so no copy of the training rows is held
-    X_val = X[val_idx]
     n_train, d = len(train_idx), X.shape[1]
+    # validation holds these two buffers alone, from one epoch to the next
+    val_buffers = np.empty(n_val * max(model.dims)), np.empty(n_val * max(model.dims))
+
+    def val_rows(buffer: np.ndarray) -> np.ndarray:
+        # a raising take would gather into a temporary first; the indices are in range
+        return np.take(X, val_idx, axis=0, out=buffer[:n_val * d].reshape(n_val, d),
+                       mode="clip")
 
     grads = np.empty_like(model.params)
     state = AdamState.for_params([model.params])
@@ -452,11 +464,14 @@ def train(
                 beta2=config.beta2, eps=config.eps,
             )
         report.train_losses.append(sse / (n_train * d))
-        # reconstruct runs forward's layers on the same rows, so the loss has forward's
-        # bits, without a cache of every layer's activations for the validation rows
+        # forward's layers on the same rows, so the loss has forward's bits, without a
+        # cache of every layer's activations: the rows go into one buffer, the output
+        # lands in buffers[n_layers % 2], and the rows go again into the other one
         with np.errstate(over="ignore", invalid="ignore"):
-            X_hat = reconstruct(model, X_val)
-        val_loss = mse_loss(X_hat, X_val, residual=X_hat)
+            err = _run_layers(model, val_rows(val_buffers[0]), val_buffers[::-1])
+            err -= val_rows(val_buffers[1 - model.n_layers % 2])
+            err *= err
+        val_loss = float(np.mean(err))
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss after epoch {epoch}")
         report.val_losses.append(val_loss)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import derive, detect, features, net, synth, telemetry
+from . import detect, features, net, synth, telemetry
 from .errors import (ArtifactError, DataError, nullable, object_of, read_fields, read_json,
                      sha256_hex, strict_float)
 
@@ -34,11 +34,10 @@ def _featurize(data, spec: features.WindowSpec, variant: str):
     """(X, start_t, sol) of a telemetry CSV's complete windows, every feature finite."""
     stream = telemetry.read_stream(data)
     mask = features.feature_mask(variant)
-    # huge but finite telemetry can overflow here; the check below reports where
+    # feature_matrix derives each block's frames; huge but finite telemetry can overflow
+    # there, and the check below reports where
     with np.errstate(over="ignore", invalid="ignore"):
-        derived = derive.derive_stream(stream)
-        del stream  # the raw channels are all in the derived stream
-        X, start_t, sol = features.feature_matrix(derived, spec, mask)
+        X, start_t, sol = features.feature_matrix(stream, spec, mask)
     if X.shape[0] == 0:
         raise DataError(f"{data}: no complete {spec.window_s} s windows in stream")
     bad = np.flatnonzero(~np.isfinite(X))
@@ -58,7 +57,8 @@ CALIBRATION_FIELDS = {"data_sha256": sha256_hex, "stride_s": strict_float,
 #: The record field holding each vouched-for artifact's SHA-256.
 DIGEST_KEYS = {CALIBRATION_SCORES_FILE: "scores_sha256", THRESHOLD_FILE: "threshold_sha256"}
 #: pipeline.json: field -> how it is read back; "variant" and "seed" are written for
-#: people only, and a missing calibration record reads as None.
+#: people only, from the model the record vouches for, and a missing calibration record
+#: reads as None.
 PIPELINE_FIELDS = {"window_s": strict_float, "stride_s": strict_float,
                    "calibration": (object_of(CALIBRATION_FIELDS), None)}
 
@@ -213,6 +213,8 @@ def calibrate_pipeline(data, artifacts, percentile: float = 99.9,
     if fresh:
         detect.write_scores_csv(scores_path, scores, start_t, sol)
     threshold.save(artifacts / THRESHOLD_FILE)
+    # the record vouches for this model, which need not be the one train wrote
+    pipeline = dict(pipeline, variant=model.variant, seed=model.seed)
     _write_record(artifacts, pipeline, inputs, scores_sha256=_file_sha256(scores_path),
                   threshold_sha256=_file_sha256(artifacts / THRESHOLD_FILE))
     return threshold

@@ -221,6 +221,22 @@ def test_calibrate_too_few_windows(tmp_path, trained_dir):
                "--artifacts", trained_dir) == 3
 
 
+def test_calibrate_names_the_model_it_vouches_for(tmp_path, data_dir, trained_dir):
+    """After a refined seed-2 model and its scaler replace a prime one, calibrate exits 0
+    and pipeline.json names the model its calibration record vouches for."""
+    refined = tmp_path / "refined"
+    assert run("train", "--data", data_dir / "train.csv", "--artifacts", refined,
+               "--variant", "refined", "--seed", 2, "--epochs", 1) == 0
+    art = tmp_path / "art"
+    shutil.copytree(trained_dir, art)
+    for name in ("model.json", "model.params", "scaler.json"):
+        (art / name).write_bytes((refined / name).read_bytes())
+    assert run("calibrate", "--data", data_dir / "train.csv", "--artifacts", art) == 0
+    doc = json.loads((art / "pipeline.json").read_text())
+    assert (doc["variant"], doc["seed"]) == ("refined", 2)
+    assert doc["calibration"]["params_sha256"] == sha256_of(art / "model.params")
+
+
 def test_detect_reports(tmp_path, data_dir, trained_dir):
     assert run("detect", "--data", data_dir / "test.csv",
                "--artifacts", trained_dir) == 0

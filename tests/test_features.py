@@ -249,6 +249,24 @@ def test_feature_matrix_blocks_bitwise_match_reference(n_windows):
         assert np.isnan(X[63, 0]) and np.isnan(X[64, 5 * 7])
 
 
+@pytest.mark.parametrize("stride_s", [1.0, 0.125, 2.0])
+@pytest.mark.parametrize("n_windows", [0, 1, 63, 64, 65, 129])
+def test_feature_matrix_derives_raw_telemetry_block_by_block(n_windows, stride_s):
+    """Handed raw telemetry, feature_matrix derives one block's frames at a time and
+    returns the bytes of featurizing the whole derived stream, block edges included."""
+    spec = WindowSpec(stride_s=stride_s)
+    frames = (spec.stride_frames * (n_windows - 1) + spec.window_frames if n_windows
+              else spec.window_frames - 1)
+    stream = make_stream(frames, seed=n_windows)
+    for variant in ("prime", "refined"):
+        mask = feature_mask(variant)
+        got = feature_matrix(stream, spec, mask)
+        want = feature_matrix(derive_stream(stream), spec, mask)
+        assert got[0].shape == (n_windows, len(mask))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_feature_matrix_memory_is_bounded_by_a_block():
     """Temporaries are sized for one block: the peak stays under 3x the result."""
     stream = derived(8 * 1999 + 32, seed=9)  # 2 000 windows

@@ -431,6 +431,21 @@ def test_train_validation_holds_no_activation_cache():
     assert peak < 3.5 * X.nbytes, f"peak {peak / 1e6:.1f} MB for a {X.nbytes / 1e6:.1f} MB X"
 
 
+def test_train_validation_holds_two_buffers_across_epochs():
+    """Validation runs in two buffers allocated once per train: over 2 epochs with half of
+    4 000 rows held out, the peak stays under 3.0x X (2.6x measured). A copy of the
+    validation rows (0.5x X) surviving from one epoch into the next kept it at 3.6x."""
+    X = np.random.default_rng(3).random((4000, 322))
+    model = build_model("prime", seed=1)
+    tracemalloc.start()
+    try:
+        train(model, X, TrainConfig(rng_seed=1, epochs=2, validation_fraction=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * X.nbytes, f"peak {peak / 1e6:.1f} MB for a {X.nbytes / 1e6:.1f} MB X"
+
+
 def test_train_no_overfit_on_nominal_data():
     # 200-epoch run on a modest nominal set: validation tracks training
     X = _nominal_feature_matrix(duration_s=600.0, seed=2)

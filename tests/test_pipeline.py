@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import drivemon as dm
-from drivemon import detect, errors, features, net, pipeline, telemetry
+from drivemon import derive, detect, errors, features, net, pipeline, telemetry
 from drivemon.synth import NominalProfile, generate_nominal
 
 
@@ -37,6 +37,24 @@ def test_calibrate_never_holds_raw_and_scaled_features_together(tmp_path):
         tracemalloc.stop()
     assert threshold.calibration_size == X.shape[0] == 1797
     assert peak < 4.2 * X.nbytes, f"peak {peak / 1e6:.1f} MB for a {X.nbytes / 1e6:.1f} MB matrix"
+
+
+def test_featurize_never_holds_the_derived_stream(monkeypatch):
+    """An 1 800 s drive (29 blocks of windows) featurizes from its raw telemetry a block
+    at a time: beside X, the peak leaves no room for the (frames, 46) derived channels
+    (8.3 MB measured, against X plus that array, 9.9 MB)."""
+    stream = generate_nominal(NominalProfile(duration_s=1800.0), 5)
+    monkeypatch.setattr(telemetry, "read_stream", lambda path: stream)  # made untraced
+    tracemalloc.start()
+    try:
+        X, _, _ = pipeline._featurize("train.csv", dm.WindowSpec(), "prime")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    derived_nbytes = len(stream) * derive.N_DERIVED * 8
+    assert X.shape[0] == 1797 > 28 * features.STATS_BLOCK_WINDOWS
+    assert peak < X.nbytes + derived_nbytes, (f"peak {peak / 1e6:.2f} MB for a "
+                                              f"{X.nbytes / 1e6:.2f} MB X")
 
 
 # -- calibrate reuses train's scores only under a matching record ------------
