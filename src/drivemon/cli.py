@@ -75,10 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Expand --config PATH (or --config=PATH) key=value lines into flags; explicit flags win."""
+def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Expand --config PATH (or --config=PATH) key=value lines into flags; explicit flags win.
+
+    A second --config is a usage error, raised before any file is read.
+    """
     argv = [part for arg in argv
             for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
+    if argv.count("--config") > 1:
+        parser.error("argument --config: given more than once")
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -184,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        argv = _apply_config_file(list(argv))
+        argv = _apply_config_file(list(argv), parser)
     except OSError as exc:
         print(f"drivemon: cannot read config file: {exc}", file=sys.stderr)
         return 2
@@ -199,6 +204,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"drivemon: i/o error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"drivemon: error: out of memory: {exc}", file=sys.stderr)
         return 3
     return 0
 

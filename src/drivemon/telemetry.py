@@ -11,6 +11,10 @@ mission day, constant or increasing within a file.
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import signal
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +43,10 @@ SENSOR_CHANNELS = (
 )
 
 CSV_HEADER = ("t", "sol") + SENSOR_CHANNELS
+
+#: Fewest rows write_stream hands to a forked writer: 4 096 rows are about 50 ms of
+#: formatting, so a fork costs little beside them.
+WRITE_MIN_ROWS = 4096
 
 #: Every sol is below this in magnitude, so that a float64 CSV cell holds it exactly.
 SOL_LIMIT = 2**53
@@ -223,6 +231,9 @@ def _check_header(path: Path, header: list[str], expected: tuple[str, ...]) -> N
     expected = list(expected)
     if header == expected:
         return
+    if header[0].startswith("\ufeff"):
+        raise SchemaError(f"{path}: file starts with a UTF-8 byte-order mark; "
+                          "save it without one")
     missing = [c for c in expected if c not in header]
     extra = [c for c in header if c not in expected]
     if missing:
@@ -233,19 +244,77 @@ def _check_header(path: Path, header: list[str], expected: tuple[str, ...]) -> N
 
 
 def write_stream(stream: TelemetryStream, path: str | Path) -> None:
-    """Write a stream as CSV; values use repr so read_stream round-trips exactly."""
+    """Write a stream as CSV; values use repr so read_stream round-trips exactly.
+
+    The rows are split into one contiguous block per writer (`_writer_count`). A
+    forked child formats each block after the first into an unlinked temporary
+    file, while this process writes the header and block 0, then appends the
+    children's bytes in order, so the file is the same bytes as one writer's.
+    """
     if not isinstance(stream, TelemetryStream):
         raise DataError("write_stream expects a TelemetryStream")
     path = Path(path)
+    n_writers = _writer_count(len(stream))
+    bounds = [len(stream) * i // n_writers for i in range(n_writers + 1)]
+    parts, pids = [], []  # each child's block file and pid, in row order
+    reaped = 0
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(CSV_HEADER) + "\n")
-            # one row's tolist at a time: Python floats format fast, and a whole
-            # table of them would take about 30 bytes per cell
-            for t, sol, row in zip(stream.t, stream.sol, stream.values):
-                fh.write(f"{float(t)!r},{int(sol)},{','.join(map(repr, row.tolist()))}\n")
-    except OSError as exc:
-        raise OSError(f"failed writing stream to {path}: {exc}") from exc
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                parts.append(tempfile.TemporaryFile(dir=path.parent))
+                pids.append(_fork_writer(parts[-1], stream, lo, hi))
+            with open(path, "w", newline="") as fh:
+                fh.write(",".join(CSV_HEADER) + "\n")
+                _write_rows(fh, stream, 0, bounds[1])
+                fh.flush()  # the children's bytes go to fh.buffer, after block 0
+                for pid, part, lo, hi in zip(pids, parts, bounds[1:-1], bounds[2:]):
+                    status = os.waitpid(pid, 0)[1]
+                    reaped += 1
+                    if status:
+                        raise OSError(f"writer of rows {lo}-{hi - 1} exited with "
+                                      f"status {os.waitstatus_to_exitcode(status)}")
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh.buffer)
+        except OSError as exc:
+            raise OSError(f"failed writing stream to {path}: {exc}") from exc
+    finally:
+        # no child outlives the call, whatever stopped it
+        for pid in pids[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts:
+            part.close()
+
+
+def _writer_count(n_rows: int) -> int:
+    """Processes that write_stream splits n_rows over: one per CPU this process may
+    run on, each with at least WRITE_MIN_ROWS rows; one without fork or affinity."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_rows // WRITE_MIN_ROWS))
+
+
+def _fork_writer(part, stream: TelemetryStream, lo: int, hi: int) -> int:
+    """Fork a child that writes rows lo:hi into the binary file `part` and exits 0, or
+    1 on any exception; the child never returns to the caller. Returns its pid."""
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        with open(part.fileno(), "w", newline="", closefd=False) as out:
+            _write_rows(out, stream, lo, hi)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _write_rows(fh, stream: TelemetryStream, lo: int, hi: int) -> None:
+    """Write rows lo:hi of the stream as CSV lines to the text file fh."""
+    # one row's tolist at a time: Python floats format fast, and a whole
+    # table of them would take about 30 bytes per cell
+    for t, sol, row in zip(stream.t[lo:hi], stream.sol[lo:hi], stream.values[lo:hi]):
+        fh.write(f"{float(t)!r},{int(sol)},{','.join(map(repr, row.tolist()))}\n")
 
 
 def uniform_time_axis(n_frames: int, t0: float = 0.0) -> np.ndarray:

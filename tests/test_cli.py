@@ -495,6 +495,40 @@ def test_undecodable_config_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_repeated_config_exits_2(tmp_path, data_dir, capsys):
+    """A second --config is refused by name before either file is read; taking only the
+    first would silently drop the second's settings."""
+    good, bad = tmp_path / "c1.cfg", tmp_path / "c2.cfg"
+    good.write_text("epochs=1\n")
+    bad.write_text("epochs=notanumber\n")
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--data", data_dir / "train.csv", "--artifacts", tmp_path / "art",
+            "--config", good, f"--config={bad}")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and "more than once" in err and "notanumber" not in err
+    assert not (tmp_path / "art").exists()
+
+
+def test_allocation_failure_exits_3(tmp_path, capsys):
+    """A drive too long to allocate is one error line, not numpy's traceback."""
+    assert run("generate", "--out", tmp_path / "g", "--train-s", "1e15", "--test-s", 60,
+               "--events", "none") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("drivemon: error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "g").exists()
+
+
+def test_detect_byte_order_mark_exits_3(tmp_path, data_dir, trained_dir, capsys):
+    path = tmp_path / "test.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (data_dir / "test.csv").read_bytes())
+    assert run("detect", "--data", path, "--artifacts", trained_dir) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: file starts with a UTF-8 byte-order mark" in err
+    assert "missing column" not in err
+
+
 def test_corrupt_model_artifact_exits_4(tmp_path, data_dir):
     art = tmp_path / "art"
     art.mkdir()

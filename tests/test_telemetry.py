@@ -1,16 +1,21 @@
+import os
 import re
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivemon.errors import DataError, OrderingError, SchemaError
+from drivemon import telemetry
+from drivemon.detect import read_scores_csv
+from drivemon.errors import ArtifactError, DataError, OrderingError, SchemaError
 from drivemon.telemetry import (
     CSV_HEADER,
     SENSOR_CHANNELS,
     SOL_LIMIT,
     WHEELS,
+    WRITE_MIN_ROWS,
     TelemetryStream,
     channel_unit,
     read_stream,
@@ -350,3 +355,106 @@ def test_streams_are_read_only():
 def test_uniform_time_axis_is_exact():
     t = uniform_time_axis(1000)
     assert np.array_equal(np.diff(t), np.full(999, 0.125))
+
+
+def test_byte_order_mark_is_named(tmp_path):
+    """A BOM before the header is reported as one, not as a missing column 't'; a
+    telemetry file raises SchemaError, a score file ArtifactError."""
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + _body(_ROWS))
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: file starts with a UTF-8 "
+                                                    "byte-order mark")):
+        read_stream(path)
+    scores = tmp_path / "scores.csv"
+    scores.write_bytes(b"\xef\xbb\xbfsol,start_t,score\n1000,0.0,1.5\n")
+    with pytest.raises(ArtifactError, match="byte-order mark"):
+        read_scores_csv(scores)
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """write_stream sees 4 CPUs; returns the pids of the children it really forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_forked_write_matches_one_process(tmp_path, monkeypatch, four_cpus, blocks, extra):
+    """Each block of at least WRITE_MIN_ROWS rows goes to its own process, and the file
+    is byte for byte what one process writes."""
+    n = WRITE_MIN_ROWS * blocks + extra
+    stream = make_stream(n, seed=blocks)
+    forked = tmp_path / "forked.csv"
+    write_stream(stream, forked)
+    assert len(four_cpus) == max(1, n // WRITE_MIN_ROWS) - 1
+    _assert_no_children_left()
+    monkeypatch.delattr(os, "fork")
+    single = tmp_path / "single.csv"
+    write_stream(stream, single)
+    assert forked.read_bytes() == single.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["forked.csv", "single.csv"]
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_write_without_fork_is_one_process(tmp_path, monkeypatch, four_cpus, missing):
+    stream = make_stream(3 * WRITE_MIN_ROWS, seed=4)
+    write_stream(stream, tmp_path / "forked.csv")
+    assert len(four_cpus) == 2
+    monkeypatch.delattr(os, missing)
+    four_cpus.clear()
+    write_stream(stream, tmp_path / "single.csv")
+    assert four_cpus == []
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
+
+
+def test_failed_block_writer_names_the_file(tmp_path, monkeypatch, four_cpus):
+    """A child that cannot write its rows fails the call with the OSError the CLI maps
+    to exit 3, leaves no process behind and no file but the output."""
+    write_rows = telemetry._write_rows
+
+    def failing(fh, stream, lo, hi):
+        if lo > 0:
+            raise OSError("disk full")
+        write_rows(fh, stream, lo, hi)
+
+    monkeypatch.setattr(telemetry, "_write_rows", failing)
+    path = tmp_path / "s.csv"
+    with pytest.raises(OSError, match=re.escape(f"failed writing stream to {path}: writer of "
+                                                f"rows {WRITE_MIN_ROWS}-")):
+        write_stream(make_stream(2 * WRITE_MIN_ROWS, seed=5), path)
+    assert len(four_cpus) == 1
+    _assert_no_children_left()
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+
+def test_interrupted_write_kills_its_children(tmp_path, monkeypatch, four_cpus):
+    """An exception in this process, KeyboardInterrupt included, kills and reaps every
+    child at once, even one that would run for a minute."""
+    def interrupted(fh, stream, lo, hi):
+        if lo > 0:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(telemetry, "_write_rows", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        write_stream(make_stream(4 * WRITE_MIN_ROWS, seed=6), tmp_path / "s.csv")
+    assert time.monotonic() - start < 30
+    assert len(four_cpus) == 3
+    _assert_no_children_left()
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
