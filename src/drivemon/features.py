@@ -19,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .derive import DERIVED_CHANNELS, DerivedStream, channel_display, derive_values
 from .errors import (ArtifactError, DataError, list_of, read_fields, read_json, strict_float,
                      strict_str)
+from .parallel import block_bounds, run_blocks, shared_empty
 from .telemetry import SAMPLE_RATE_HZ, TelemetryStream, is_frame_aligned
 
 #: Statistic names in canonical order. `index = channel*7 + stat` depends on it.
@@ -203,19 +204,26 @@ def feature_matrix(
     holds the masked statistics of the window starting at start_t[i]. Handed
     raw telemetry, it derives each block's frames as it reaches them, so the
     drive's 46 derived channels are never held whole; X has the same bits.
+    The windows are cut into one run of whole blocks per process (`block_bounds`
+    over the stream's frames), each writing its rows of a shared X.
     """
     w, s = spec.window_frames, spec.stride_frames
     starts = _window_starts(len(stream), spec)
-    X = np.empty((len(starts), len(mask)))
-    for lo in range(0, len(starts), STATS_BLOCK_WINDOWS):
-        hi = min(lo + STATS_BLOCK_WINDOWS, len(starts))
-        frames = stream.values[lo * s:(hi - 1) * s + w]
-        if isinstance(stream, TelemetryStream):
-            frames = derive_values(frames)
-        # windows of one (frames, 46) array, never a copy, so each window's sums keep
-        # the order they have in the whole derived stream
-        block = _stats_block(_windows(frames, spec))
-        X[lo:hi] = block.reshape(hi - lo, -1)[:, mask.indices]
+    X = shared_empty((len(starts), len(mask)))
+
+    def featurize(first: int, last: int) -> None:
+        for lo in range(first, last, STATS_BLOCK_WINDOWS):
+            hi = min(lo + STATS_BLOCK_WINDOWS, last)
+            frames = stream.values[lo * s:(hi - 1) * s + w]
+            if isinstance(stream, TelemetryStream):
+                frames = derive_values(frames)
+            # windows of one (frames, 46) array, never a copy, so each window's sums keep
+            # the order they have in the whole derived stream
+            block = _stats_block(_windows(frames, spec))
+            X[lo:hi] = block.reshape(hi - lo, -1)[:, mask.indices]
+
+    bounds = block_bounds(len(starts), len(stream), STATS_BLOCK_WINDOWS)
+    run_blocks(bounds, featurize, "featurizer of windows")
     return X, stream.t[starts], stream.sol[starts]
 
 

@@ -36,8 +36,11 @@ def _featurize(data, spec: features.WindowSpec, variant: str):
     mask = features.feature_mask(variant)
     # feature_matrix derives each block's frames; huge but finite telemetry can overflow
     # there, and the check below reports where
-    with np.errstate(over="ignore", invalid="ignore"):
-        X, start_t, sol = features.feature_matrix(stream, spec, mask)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            X, start_t, sol = features.feature_matrix(stream, spec, mask)
+    except OSError as exc:
+        raise OSError(f"failed featurizing {data}: {exc}") from exc
     if X.shape[0] == 0:
         raise DataError(f"{data}: no complete {spec.window_s} s windows in stream")
     bad = np.flatnonzero(~np.isfinite(X))

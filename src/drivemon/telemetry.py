@@ -10,10 +10,10 @@ mission day, constant or increasing within a file.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import shutil
-import signal
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, OrderingError, SchemaError
+from .parallel import block_bounds, run_blocks, shared_empty
 
 SAMPLE_RATE_HZ = 8.0
 FRAME_DT_S = 1.0 / SAMPLE_RATE_HZ
@@ -43,10 +44,6 @@ SENSOR_CHANNELS = (
 )
 
 CSV_HEADER = ("t", "sol") + SENSOR_CHANNELS
-
-#: Fewest rows write_stream hands to a forked writer: 4 096 rows are about 50 ms of
-#: formatting, so a fork costs little beside them.
-WRITE_MIN_ROWS = 4096
 
 #: Every sol is below this in magnitude, so that a float64 CSV cell holds it exactly.
 SOL_LIMIT = 2**53
@@ -164,6 +161,9 @@ def read_table(path: str | Path, header: tuple[str, ...]) -> np.ndarray:
     comma-separated numbers. Raises SchemaError for a header mismatch and
     DataError naming the first bad 0-based data row (the header is not
     counted). A header with no rows gives an empty table.
+
+    The lines are cut into one contiguous block per process (`block_bounds`); each
+    process parses its block from its own file handle into a shared table.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -173,33 +173,60 @@ def read_table(path: str | Path, header: tuple[str, ...]) -> np.ndarray:
         cells = head.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8", errors="replace")
         _check_header(path, cells.split(","), header)
         body_start = fh.tell()
-        n_rows = _count_lines(fh)
+        n_rows, newlines = _count_lines(fh)
         if n_rows == 0:
             return np.empty((0, len(header)))
+        bounds = block_bounds(n_rows)
+        starts = {lo: _line_start(fh, body_start, newlines, lo) for lo in bounds[1:-1]}
+    starts[0] = body_start
+    table = shared_empty((n_rows, len(header)))
+
+    def parse(lo: int, hi: int) -> None:
         # the parser reads the lines from the file, so the body is never held as bytes
-        fh.seek(body_start)
-        try:
-            with warnings.catch_warnings():
-                # a body of blank lines parses to no rows; the shape check reports it
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                table = _parse_rows(fh)
-        except ValueError:
-            raise _row_fault(path, len(header)) from None
-    # loadtxt skips blank lines, so a row count short of the line count is a fault
-    if table.shape != (n_rows, len(header)):
-        raise _row_fault(path, len(header))
+        with open(path, "rb") as part, warnings.catch_warnings():
+            # a block of blank lines parses to no rows; the shape check reports it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            part.seek(starts[lo])
+            try:
+                rows = _parse_rows(itertools.islice(part, hi - lo))
+            except ValueError:
+                raise DataError(f"{path}: unparsable rows {lo}-{hi - 1}") from None
+        # loadtxt skips blank lines, so a row count short of the line count is a fault
+        if rows.shape != (hi - lo, len(header)):
+            raise DataError(f"{path}: rows {lo}-{hi - 1} parse to shape {rows.shape}")
+        table[lo:hi] = rows
+
+    try:
+        run_blocks(bounds, parse, "reader of rows")
+    except DataError:
+        raise _row_fault(path, len(header)) from None
+    except OSError as exc:
+        raise OSError(f"failed reading {path}: {exc}") from exc
     return table
 
 
-def _count_lines(fh) -> int:
-    """Lines from fh's position to its end, read 1 MiB at a time; the last line
-    counts without its line ending."""
-    n, last = 0, b"\n"
-    while chunk := fh.read(1 << 20):
-        n += chunk.count(b"\n")
+#: Bytes per read of the line count.
+_READ_CHUNK = 1 << 20
+
+
+def _count_lines(fh) -> tuple[int, list[int]]:
+    """Lines from fh's position to its end, read _READ_CHUNK bytes at a time, and the
+    newlines in each read; the last line counts without its line ending."""
+    newlines, last = [], b"\n"
+    while chunk := fh.read(_READ_CHUNK):
+        newlines.append(chunk.count(b"\n"))
         last = chunk[-1:]
-    return n + (last != b"\n")
+    return sum(newlines) + (last != b"\n"), newlines
+
+
+def _line_start(fh, body_start: int, newlines: list[int], row: int) -> int:
+    """File offset of data line `row` (0 < row < lines): one re-read of the chunk of
+    _count_lines that holds the newline ending line row - 1."""
+    ends = np.cumsum(newlines)
+    j = int(np.searchsorted(ends, row))
+    fh.seek(body_start + j * _READ_CHUNK)
+    at = np.flatnonzero(np.frombuffer(fh.read(_READ_CHUNK), np.uint8) == ord("\n"))
+    return body_start + j * _READ_CHUNK + int(at[row - (ends[j] - newlines[j]) - 1]) + 1
 
 
 def _parse_rows(source) -> np.ndarray:
@@ -246,67 +273,46 @@ def _check_header(path: Path, header: list[str], expected: tuple[str, ...]) -> N
 def write_stream(stream: TelemetryStream, path: str | Path) -> None:
     """Write a stream as CSV; values use repr so read_stream round-trips exactly.
 
-    The rows are split into one contiguous block per writer (`_writer_count`). A
+    The rows are split into one contiguous block per process (`block_bounds`). A
     forked child formats each block after the first into an unlinked temporary
     file, while this process writes the header and block 0, then appends the
-    children's bytes in order, so the file is the same bytes as one writer's.
+    children's bytes in order, so the file is the same bytes as one writer's. It
+    is written under a temporary name in the output's directory and renamed into
+    place once whole, so a failed write leaves no partial file behind.
     """
     if not isinstance(stream, TelemetryStream):
         raise DataError("write_stream expects a TelemetryStream")
     path = Path(path)
-    n_writers = _writer_count(len(stream))
-    bounds = [len(stream) * i // n_writers for i in range(n_writers + 1)]
-    parts, pids = [], []  # each child's block file and pid, in row order
-    reaped = 0
+    partial = path.with_name(f".{path.name}.{os.getpid()}.part")
+    bounds = block_bounds(len(stream))
+    parts = {}  # each child's block file, by its first row
     try:
         try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                parts.append(tempfile.TemporaryFile(dir=path.parent))
-                pids.append(_fork_writer(parts[-1], stream, lo, hi))
-            with open(path, "w", newline="") as fh:
+            for lo in bounds[1:-1]:
+                parts[lo] = tempfile.TemporaryFile(dir=path.parent)
+            with open(partial, "w", newline="") as fh:
                 fh.write(",".join(CSV_HEADER) + "\n")
-                _write_rows(fh, stream, 0, bounds[1])
-                fh.flush()  # the children's bytes go to fh.buffer, after block 0
-                for pid, part, lo, hi in zip(pids, parts, bounds[1:-1], bounds[2:]):
-                    status = os.waitpid(pid, 0)[1]
-                    reaped += 1
-                    if status:
-                        raise OSError(f"writer of rows {lo}-{hi - 1} exited with "
-                                      f"status {os.waitstatus_to_exitcode(status)}")
-                    part.seek(0)
-                    shutil.copyfileobj(part, fh.buffer)
+
+                def write(lo: int, hi: int) -> None:
+                    if lo in parts:
+                        with open(parts[lo].fileno(), "w", newline="", closefd=False) as out:
+                            _write_rows(out, stream, lo, hi)
+                    else:
+                        _write_rows(fh, stream, lo, hi)
+                        fh.flush()  # the children's bytes go to fh.buffer, after block 0
+
+                def append(lo: int, hi: int) -> None:
+                    parts[lo].seek(0)
+                    shutil.copyfileobj(parts[lo], fh.buffer)
+
+                run_blocks(bounds, write, "writer of rows", append)
+            os.replace(partial, path)
         except OSError as exc:
             raise OSError(f"failed writing stream to {path}: {exc}") from exc
     finally:
-        # no child outlives the call, whatever stopped it
-        for pid in pids[reaped:]:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in parts:
+        partial.unlink(missing_ok=True)
+        for part in parts.values():
             part.close()
-
-
-def _writer_count(n_rows: int) -> int:
-    """Processes that write_stream splits n_rows over: one per CPU this process may
-    run on, each with at least WRITE_MIN_ROWS rows; one without fork or affinity."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_rows // WRITE_MIN_ROWS))
-
-
-def _fork_writer(part, stream: TelemetryStream, lo: int, hi: int) -> int:
-    """Fork a child that writes rows lo:hi into the binary file `part` and exits 0, or
-    1 on any exception; the child never returns to the caller. Returns its pid."""
-    pid = os.fork()
-    if pid:
-        return pid
-    code = 1
-    try:
-        with open(part.fileno(), "w", newline="", closefd=False) as out:
-            _write_rows(out, stream, lo, hi)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _write_rows(fh, stream: TelemetryStream, lo: int, hi: int) -> None:

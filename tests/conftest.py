@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,35 @@ from drivemon.telemetry import SENSOR_CHANNELS, TelemetryStream, uniform_time_ax
 # each time; derandomize also turns off the example database
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No test leaves a child process behind, running or exited and unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid}" if pid else
+                "the test left a child process running")
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """The forking callers see 4 CPUs; returns the pids of the children they really
+    fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 @pytest.fixture

@@ -1,18 +1,21 @@
 import base64
 import hashlib
 import json
+import os
 import shutil
 
 import numpy as np
 import pytest
 
+from drivemon import features, telemetry
 from drivemon.cli import main
 from drivemon.detect import Threshold, read_scores_csv
 from drivemon.features import MinMaxScaler, fit_scaler
 from drivemon.net import load_model, new_model, save_model
-from drivemon.telemetry import CSV_HEADER, read_stream
+from drivemon.parallel import FORK_MIN_ROWS
+from drivemon.telemetry import CSV_HEADER, read_stream, write_stream
 
-from conftest import store_params
+from conftest import make_stream, store_params
 
 
 def run(*args):
@@ -518,6 +521,32 @@ def test_allocation_failure_exits_3(tmp_path, capsys):
     assert err.startswith("drivemon: error: out of memory: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("module,name,what", [
+    (telemetry, "_parse_rows", "failed reading {path}: reader of rows {n}-{last}"),
+    (features, "_stats_block", "failed featurizing {path}: featurizer of windows {w}-"),
+])
+def test_detect_failed_child_exits_3(tmp_path, trained_dir, monkeypatch, four_cpus, capsys,
+                                     module, name, what):
+    """Running out of memory in a forked reader or featurizer is an i/o error naming the
+    drive and the child's rows (exit 3), not a data error that blames a row."""
+    path = tmp_path / "drive.csv"
+    write_stream(make_stream(2 * FORK_MIN_ROWS, seed=3), path)
+    parent, real = os.getpid(), getattr(module, name)
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return real(*args)
+
+    monkeypatch.setattr(module, name, failing)
+    assert run("detect", "--data", path, "--artifacts", trained_dir) == 3
+    err = capsys.readouterr().err
+    what = what.format(path=path, n=FORK_MIN_ROWS, last=2 * FORK_MIN_ROWS - 1,
+                       w=((2 * FORK_MIN_ROWS - 32) // 8 + 1) // 2 // 64 * 64)
+    assert err.startswith(f"drivemon: i/o error: {what}")
+    assert err.endswith(" exited with status 1\n") and err.count("\n") == 1
 
 
 def test_detect_byte_order_mark_exits_3(tmp_path, data_dir, trained_dir, capsys):

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import tracemalloc
 import warnings
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from drivemon import features, pipeline
 from drivemon.derive import DerivedStream, derive_stream
 from drivemon.errors import ArtifactError, DataError
 from drivemon.features import (
@@ -24,6 +27,8 @@ from drivemon.features import (
     stats7,
     window_arrays,
 )
+from drivemon.parallel import FORK_MIN_ROWS
+from drivemon.telemetry import write_stream
 
 from conftest import make_stream
 from oracles import reference_stats_block, stats7_oracle, window_count_oracle
@@ -352,3 +357,55 @@ def test_scaler_json_roundtrip(tmp_path):
     with pytest.raises(ArtifactError):
         path.write_text("{not json")
         MinMaxScaler.load(path)
+
+
+@pytest.mark.parametrize("stride_s", [0.125, 1.0, 2.0])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("kind", ["raw", "derived"])
+def test_forked_feature_matrix_matches_one_process(monkeypatch, four_cpus, stride_s, extra,
+                                                   kind):
+    """Window counts at 2 * STATS_BLOCK_WINDOWS * m + extra, with enough frames for two
+    processes: each child computes whole blocks, and X is byte for byte one process's."""
+    spec = WindowSpec(stride_s=stride_s)
+    n_windows = 2 * STATS_BLOCK_WINDOWS * -(-(2 * FORK_MIN_ROWS) // (
+        2 * STATS_BLOCK_WINDOWS * spec.stride_frames)) + extra
+    raw = make_stream((n_windows - 1) * spec.stride_frames + spec.window_frames, seed=2 + extra)
+    assert len(raw) >= 2 * FORK_MIN_ROWS
+    stream = raw if kind == "raw" else derive_stream(raw)
+    mask = feature_mask("prime")
+    four_cpus.clear()
+    blocks = []  # windows per _stats_block call in this process
+    with monkeypatch.context() as m:
+        m.setattr(features, "_stats_block",
+                  lambda data: blocks.append(len(data)) or _stats_block(data))
+        X, start_t, sol = feature_matrix(stream, spec, mask)
+    assert len(four_cpus) == 1
+    assert set(blocks) == {STATS_BLOCK_WINDOWS}
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        single = feature_matrix(stream, spec, mask)
+    assert X.shape == (n_windows, N_PRIME_FEATURES)
+    assert X.tobytes() == single[0].tobytes()
+    assert start_t.tobytes() == single[1].tobytes() and sol.tobytes() == single[2].tobytes()
+
+
+@pytest.mark.parametrize("error", [MemoryError, OSError])
+def test_failed_featurizer_child_is_an_io_error(tmp_path, monkeypatch, four_cpus, error):
+    """A featurize child that fails raises an OSError naming the drive and the child's
+    windows, which the CLI maps to exit 3, and leaves no child behind."""
+    path = tmp_path / "drive.csv"
+    write_stream(make_stream(2 * FORK_MIN_ROWS, seed=13), path)
+    parent, stats_block = os.getpid(), features._stats_block
+
+    def failing(data):
+        if os.getpid() != parent:
+            raise error("injected")
+        return stats_block(data)
+
+    monkeypatch.setattr(features, "_stats_block", failing)
+    n_windows = (2 * FORK_MIN_ROWS - 32) // 8 + 1
+    with pytest.raises(OSError, match=re.escape(
+            f"failed featurizing {path}: featurizer of windows "
+            f"{n_windows // 2 // STATS_BLOCK_WINDOWS * STATS_BLOCK_WINDOWS}-{n_windows - 1} "
+            "exited with status 1")):
+        pipeline._featurize(path, WindowSpec(), "prime")
