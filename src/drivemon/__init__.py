@@ -10,7 +10,7 @@ from .derive import DERIVED_CHANNELS, DerivedStream, derive_stream, deviation, m
 from .detect import FlagRecord, Threshold, calibrate, flag, score_matrix, write_report_json
 from .errors import ArtifactError, DataError, OrderingError, PipelineError, SchemaError, TrainingError
 from .features import (FeatureId, FeatureMask, MinMaxScaler, WindowSpec, feature_mask,
-                       feature_matrix, fit_scaler, stats7)
+                       feature_matrix, featurize_csv, fit_scaler, stats7)
 from .net import (AutoencoderModel, TrainConfig, TrainReport, adam_step, backward, build_model,
                   encode, forward, load_model, mse_loss, new_model, reconstruct, save_model, train)
 from .pipeline import calibrate_pipeline, detect_pipeline, evaluate_metrics, fit_pipeline, load_bundle

@@ -161,19 +161,32 @@ def flag(
     and of start_t and sol, as feature_matrix returns them, is window i.
     """
     names = feature_mask(variant).names()
+    scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
     if np.shape(residuals) != (n, len(names)) or len(start_t) != n or len(sol) != n:
         raise DataError(
             f"flag inputs are misaligned: {n} scores, residuals {np.shape(residuals)}, "
             f"{len(start_t)} start times, {len(sol)} sols for {len(names)} {variant} features"
         )
+    flagged = np.flatnonzero(scores > threshold.value)
+    # top_contributors of every flagged row at once: argmax takes the lower index of a
+    # tie, and each pick is masked out (every magnitude is >= 0) before the next
+    mags = np.abs(np.asarray(residuals, dtype=np.float64)[flagged])
+    floor = CONTRIBUTOR_FLOOR * scores[flagged]
+    rows = np.arange(len(flagged))
+    ranks = []
+    for rank in range(min(MAX_CONTRIBUTORS, len(names))):
+        top = np.argmax(mags, axis=1)
+        value = mags[rows, top]
+        kept = (value >= floor) | (rank == 0)
+        ranks.append(zip(top.tolist(), value.tolist(), kept.tolist()))
+        mags[rows, top] = -1.0
     return [
-        FlagRecord(
-            sol=int(sol[i]), start_t=float(start_t[i]), score=float(scores[i]),
-            threshold=threshold.value,
-            contributors=top_contributors(residuals[i], float(scores[i]), variant, names),
-        )
-        for i in np.flatnonzero(np.asarray(scores) > threshold.value)
+        FlagRecord(sol=int(s), start_t=float(t), score=a, threshold=threshold.value,
+                   contributors=tuple((names[i], m) for i, m, kept in picks if kept))
+        for s, t, a, picks in zip(np.asarray(sol)[flagged].tolist(),
+                                  np.asarray(start_t)[flagged].tolist(),
+                                  scores[flagged].tolist(), zip(*ranks))
     ]
 
 
@@ -200,10 +213,34 @@ CONTRIBUTOR_FIELDS = {"feature": strict_str, "magnitude": strict_float}
 
 
 def write_report_json(records: list[FlagRecord], path: str | Path) -> None:
-    doc = [{"sol": r.sol, "start_t": r.start_t, "score": r.score, "threshold": r.threshold,
-            "contributors": [{"feature": n, "magnitude": m} for n, m in r.contributors]}
-           for r in records]
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    """The records as json.dumps(doc, indent=2) writes them, built from each scalar's
+    text: that indent takes json's pure-Python encoder, several times slower."""
+    names = {}  # each feature name's JSON string, encoded once
+    items = []
+    for r in records:
+        contributors = []
+        for name, magnitude in r.contributors:
+            if name not in names:
+                names[name] = json.dumps(name)
+            contributors.append(f'      {{\n        "feature": {names[name]},\n'
+                                f'        "magnitude": {_json_scalar(magnitude)}\n      }}')
+        items.append(f'  {{\n    "sol": {_json_scalar(r.sol)},\n'
+                     f'    "start_t": {_json_scalar(r.start_t)},\n'
+                     f'    "score": {_json_scalar(r.score)},\n'
+                     f'    "threshold": {_json_scalar(r.threshold)},\n'
+                     f'    "contributors": {_json_list(contributors, "    ")}\n  }}')
+    Path(path).write_text(_json_list(items, "") + "\n")
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of already indented items, closed at indent, as json.dumps lays it out."""
+    return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
+
+
+def _json_scalar(x) -> str:
+    """json.dumps(x): a finite float's repr directly, the one json writes, since a
+    json.dumps call costs four times as much."""
+    return float.__repr__(x) if type(x) is float and math.isfinite(x) else json.dumps(x)
 
 
 def read_report_json(path: str | Path) -> list[FlagRecord]:
@@ -225,10 +262,12 @@ SCORES_HEADER = ("sol", "start_t", "score")
 
 def write_scores_csv(path: str | Path, scores: np.ndarray, start_t, sol) -> None:
     """Per-window score series, for score-vs-time plots with external tools."""
+    # Python ints and floats from tolist format faster than numpy scalars
+    columns = (np.asarray(sol).tolist(), np.asarray(start_t, dtype=np.float64).tolist(),
+               np.asarray(scores, dtype=np.float64).tolist())
     with open(Path(path), "w", newline="") as fh:
         fh.write(",".join(SCORES_HEADER) + "\n")
-        for i in range(len(scores)):
-            fh.write(f"{int(sol[i])},{repr(float(start_t[i]))},{repr(float(scores[i]))}\n")
+        fh.writelines(f"{int(s)},{t!r},{a!r}\n" for s, t, a in zip(*columns, strict=True))
 
 
 def read_scores_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,8 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .derive import DERIVED_CHANNELS, DerivedStream, channel_display, derive_values
 from .errors import (ArtifactError, DataError, list_of, read_fields, read_json, strict_float,
                      strict_str)
-from .parallel import block_bounds, run_blocks, shared_empty
-from .telemetry import SAMPLE_RATE_HZ, TelemetryStream, is_frame_aligned
+from .parallel import BlockError, block_bounds, block_empty, named, run_blocks
+from .telemetry import (CSV_HEADER, SAMPLE_RATE_HZ, TelemetryStream, _Body, _check_frames,
+                        _row_fault, is_frame_aligned)
 
 #: Statistic names in canonical order. `index = channel*7 + stat` depends on it.
 STATS = ("mean", "std", "kurt", "skew", "min", "max", "median")
@@ -205,26 +206,96 @@ def feature_matrix(
     raw telemetry, it derives each block's frames as it reaches them, so the
     drive's 46 derived channels are never held whole; X has the same bits.
     The windows are cut into one run of whole blocks per process (`block_bounds`
-    over the stream's frames), each writing its rows of a shared X.
+    over the stream's frames), each writing its rows of X.
     """
-    w, s = spec.window_frames, spec.stride_frames
     starts = _window_starts(len(stream), spec)
-    X = shared_empty((len(starts), len(mask)))
+    bounds = block_bounds(len(starts), len(stream), STATS_BLOCK_WINDOWS)
+    X = block_empty((len(starts), len(mask)), bounds)
+    raw = isinstance(stream, TelemetryStream)
 
     def featurize(first: int, last: int) -> None:
-        for lo in range(first, last, STATS_BLOCK_WINDOWS):
-            hi = min(lo + STATS_BLOCK_WINDOWS, last)
-            frames = stream.values[lo * s:(hi - 1) * s + w]
-            if isinstance(stream, TelemetryStream):
-                frames = derive_values(frames)
-            # windows of one (frames, 46) array, never a copy, so each window's sums keep
-            # the order they have in the whole derived stream
-            block = _stats_block(_windows(frames, spec))
-            X[lo:hi] = block.reshape(hi - lo, -1)[:, mask.indices]
+        frames = stream.values[first * spec.stride_frames:]
+        _featurize_windows(frames, raw, X, first, last, spec, mask)
 
-    bounds = block_bounds(len(starts), len(stream), STATS_BLOCK_WINDOWS)
-    run_blocks(bounds, featurize, "featurizer of windows")
+    run_blocks(bounds, [(named("featurizer of windows"), featurize)])
     return X, stream.t[starts], stream.sol[starts]
+
+
+def _featurize_windows(frames: np.ndarray, raw: bool, X: np.ndarray, first: int, last: int,
+                       spec: WindowSpec, mask: FeatureMask) -> None:
+    """Rows first:last of X, from frames whose row 0 is window first's first frame (raw
+    telemetry when raw, else derived), STATS_BLOCK_WINDOWS windows at a time from
+    window first, a multiple of it."""
+    w, s = spec.window_frames, spec.stride_frames
+    for lo in range(first, last, STATS_BLOCK_WINDOWS):
+        hi = min(lo + STATS_BLOCK_WINDOWS, last)
+        block = frames[(lo - first) * s:(hi - 1 - first) * s + w]
+        if raw:
+            block = derive_values(block)
+        # windows of one (frames, 46) array, never a copy, so each window's sums keep
+        # the order they have in the whole derived stream
+        stats = _stats_block(_windows(block, spec))
+        X[lo:hi] = stats.reshape(hi - lo, -1)[:, mask.indices]
+
+
+def featurize_csv(path: str | Path, spec: WindowSpec,
+                  mask: FeatureMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """feature_matrix(read_stream(path), spec, mask), with its bits and read_stream's
+    errors, in one fork round.
+
+    The rows are cut where a run of whole STATS_BLOCK_WINDOWS blocks of windows
+    starts, one run per process (`block_bounds` over the windows). Each process
+    parses its rows into the table, then featurizes its windows from the rows it
+    parsed, into X. The window_frames - stride_frames rows after its own, which
+    its last windows reach, it parses as well. Once every process is done, this
+    one checks the table in place as TelemetryStream checks its arrays. A bad
+    row is named by the line-by-line diagnosis, a child that fails by its phase:
+    "failed reading <path>: reader of rows a-b ..." or "failed featurizing
+    <path>: featurizer of windows a-b ...". Overflowing telemetry gives
+    non-finite features, which the caller checks.
+    """
+    path = Path(path)
+    body = _Body(path, CSV_HEADER)
+    n, w, s = body.lines, spec.window_frames, spec.stride_frames
+    starts = _window_starts(n, spec)
+    n_windows = len(starts)
+    # each process's first row is the first frame of its first window
+    bounds = sorted({lo * s for lo in block_bounds(n_windows, n, STATS_BLOCK_WINDOWS)[:-1]}
+                    | {0, n})
+    table = block_empty((n, len(CSV_HEADER)), bounds)
+    X = block_empty((n_windows, len(mask)), bounds)
+    parsed = {}  # each block's rows and the rows after it that its windows reach
+
+    def windows(lo: int, hi: int) -> tuple[int, int]:
+        return lo // s, n_windows if hi == n else hi // s
+
+    def read(lo: int, hi: int) -> None:
+        parsed[lo] = body.parse(lo, min(n, hi + max(w - s, 0)))
+        table[lo:hi] = parsed[lo][:hi - lo]
+
+    def featurize(lo: int, hi: int) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _featurize_windows(parsed.pop(lo)[:, 2:], True, X, *windows(lo, hi), spec, mask)
+
+    featurizer = named("featurizer of windows")
+    failed = None
+    try:
+        run_blocks(bounds, [(named("reader of rows"), read),
+                            (lambda lo, hi: featurizer(*windows(lo, hi)), featurize)])
+    except DataError:
+        raise _row_fault(path, len(CSV_HEADER)) from None
+    except BlockError as exc:
+        failed = exc
+    # the table is whole unless a process failed while reading it
+    if failed is None or failed.phase > 0:
+        try:
+            _check_frames(table[:, 0], table[:, 1], table[:, 2:])
+        except DataError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+    if failed is not None:
+        raise OSError(f"failed {('reading', 'featurizing')[failed.phase]} {path}: "
+                      f"{failed}") from failed
+    return X, table[starts, 0], table[starts, 1].astype(np.int64)
 
 
 #: scaler.json: field -> how it is read back; "constant" is written for people only.

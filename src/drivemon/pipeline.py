@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detect, features, net, synth, telemetry
+from . import detect, features, net, synth
 from .errors import (ArtifactError, DataError, nullable, object_of, read_fields, read_json,
                      sha256_hex, strict_float)
 
@@ -32,17 +32,12 @@ PIPELINE_FILE = "pipeline.json"
 
 def _featurize(data, spec: features.WindowSpec, variant: str):
     """(X, start_t, sol) of a telemetry CSV's complete windows, every feature finite."""
-    stream = telemetry.read_stream(data)
     mask = features.feature_mask(variant)
-    # feature_matrix derives each block's frames; huge but finite telemetry can overflow
-    # there, and the check below reports where
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            X, start_t, sol = features.feature_matrix(stream, spec, mask)
-    except OSError as exc:
-        raise OSError(f"failed featurizing {data}: {exc}") from exc
+    X, start_t, sol = features.featurize_csv(data, spec, mask)
     if X.shape[0] == 0:
         raise DataError(f"{data}: no complete {spec.window_s} s windows in stream")
+    # huge but finite telemetry can overflow where featurize_csv derives the power
+    # channels; this check reports where
     bad = np.flatnonzero(~np.isfinite(X))
     if len(bad):
         window, feature = divmod(int(bad[0]), X.shape[1])

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, OrderingError, SchemaError
-from .parallel import block_bounds, run_blocks, shared_empty
+from .parallel import block_bounds, block_empty, named, run_blocks
 
 SAMPLE_RATE_HZ = 8.0
 FRAME_DT_S = 1.0 / SAMPLE_RATE_HZ
@@ -82,29 +82,9 @@ class TelemetryStream:
         t = np.array(self.t, dtype=np.float64)
         sol = np.asarray(self.sol)
         values = np.array(self.values, dtype=np.float64)
-        if t.ndim != 1 or sol.shape != t.shape:
-            raise DataError("t and sol must be 1-D arrays of equal length")
-        # checked as the float64s read_table parses, where every sol below 2^53 is exact
-        sol = sol.astype(np.float64)
-        whole = sol == np.floor(sol)
-        bad = np.flatnonzero(~(whole & (np.abs(sol) < SOL_LIMIT)))
-        if len(bad):
-            why = "does not fit in 53 bits" if whole[bad[0]] else "is not an integer"
-            raise DataError(f"sol {why} at row {bad[0]}")
-        sol = sol.astype(np.int64)
-        if values.shape != (len(t), len(SENSOR_CHANNELS)):
-            raise DataError(
-                f"values must have shape (n, {len(SENSOR_CHANNELS)}); got {values.shape}"
-            )
-        if len(t) == 0:
-            raise DataError("empty stream")
-        if not np.isfinite(values).all():
-            bad = int(np.argwhere(~np.isfinite(values))[0, 0])
-            raise DataError(f"non-finite value at row {bad}")
-        _check_grid(t)
-        dec = np.flatnonzero(np.diff(sol) < 0)
-        if len(dec):
-            raise DataError(f"sol decreases at row {int(dec[0]) + 1}")
+        _check_frames(t, sol, values)
+        # the sol checked is the float64 read_table parses, so it converts exactly
+        sol = sol.astype(np.float64).astype(np.int64)
         for arr, name in ((t, "t"), (sol, "sol"), (values, "values")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -125,6 +105,33 @@ class TelemetryStream:
     def channel(self, name: str) -> np.ndarray:
         """Full time series of one sensor channel."""
         return self.values[:, channel_index(name)]
+
+
+def _check_frames(t: np.ndarray, sol: np.ndarray, values: np.ndarray) -> None:
+    """Raise the DataError (OrderingError for the time grid) of a stream's first fault,
+    reading t, sol and values where they lie: no array is copied."""
+    if t.ndim != 1 or sol.shape != t.shape:
+        raise DataError("t and sol must be 1-D arrays of equal length")
+    # checked as the float64s read_table parses, where every sol below 2^53 is exact
+    sol = np.asarray(sol, dtype=np.float64)
+    whole = sol == np.floor(sol)
+    bad = np.flatnonzero(~(whole & (np.abs(sol) < SOL_LIMIT)))
+    if len(bad):
+        why = "does not fit in 53 bits" if whole[bad[0]] else "is not an integer"
+        raise DataError(f"sol {why} at row {bad[0]}")
+    if values.shape != (len(t), len(SENSOR_CHANNELS)):
+        raise DataError(
+            f"values must have shape (n, {len(SENSOR_CHANNELS)}); got {values.shape}"
+        )
+    if len(t) == 0:
+        raise DataError("empty stream")
+    if not np.isfinite(values).all():
+        bad = int(np.argwhere(~np.isfinite(values))[0, 0])
+        raise DataError(f"non-finite value at row {bad}")
+    _check_grid(t)
+    dec = np.flatnonzero(sol[1:] < sol[:-1])
+    if len(dec):
+        raise DataError(f"sol decreases at row {int(dec[0]) + 1}")
 
 
 def _check_grid(t: np.ndarray) -> None:
@@ -163,41 +170,21 @@ def read_table(path: str | Path, header: tuple[str, ...]) -> np.ndarray:
     counted). A header with no rows gives an empty table.
 
     The lines are cut into one contiguous block per process (`block_bounds`); each
-    process parses its block from its own file handle into a shared table.
+    process finds its block's first line and parses the block from its own file
+    handle into the table.
     """
     path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.readline()
-        if not head:
-            raise SchemaError(f"{path}: file is empty, expected header")
-        cells = head.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8", errors="replace")
-        _check_header(path, cells.split(","), header)
-        body_start = fh.tell()
-        n_rows, newlines = _count_lines(fh)
-        if n_rows == 0:
-            return np.empty((0, len(header)))
-        bounds = block_bounds(n_rows)
-        starts = {lo: _line_start(fh, body_start, newlines, lo) for lo in bounds[1:-1]}
-    starts[0] = body_start
-    table = shared_empty((n_rows, len(header)))
+    body = _Body(path, header)
+    if body.lines == 0:
+        return np.empty((0, len(header)))
+    bounds = block_bounds(body.lines)
+    table = block_empty((body.lines, len(header)), bounds)
 
     def parse(lo: int, hi: int) -> None:
-        # the parser reads the lines from the file, so the body is never held as bytes
-        with open(path, "rb") as part, warnings.catch_warnings():
-            # a block of blank lines parses to no rows; the shape check reports it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            part.seek(starts[lo])
-            try:
-                rows = _parse_rows(itertools.islice(part, hi - lo))
-            except ValueError:
-                raise DataError(f"{path}: unparsable rows {lo}-{hi - 1}") from None
-        # loadtxt skips blank lines, so a row count short of the line count is a fault
-        if rows.shape != (hi - lo, len(header)):
-            raise DataError(f"{path}: rows {lo}-{hi - 1} parse to shape {rows.shape}")
-        table[lo:hi] = rows
+        table[lo:hi] = body.parse(lo, hi)
 
     try:
-        run_blocks(bounds, parse, "reader of rows")
+        run_blocks(bounds, [(named("reader of rows"), parse)])
     except DataError:
         raise _row_fault(path, len(header)) from None
     except OSError as exc:
@@ -209,24 +196,58 @@ def read_table(path: str | Path, header: tuple[str, ...]) -> np.ndarray:
 _READ_CHUNK = 1 << 20
 
 
+class _Body:
+    """The data lines of a CSV file whose header checks out: how many there are, and
+    each block of them parsed from its own file handle."""
+
+    def __init__(self, path: Path, header: tuple[str, ...]):
+        self.path, self.columns = path, len(header)
+        with open(path, "rb") as fh:
+            head = fh.readline()
+            if not head:
+                raise SchemaError(f"{path}: file is empty, expected header")
+            cells = head.removesuffix(b"\n").removesuffix(b"\r")
+            _check_header(path, cells.decode("utf-8", errors="replace").split(","), header)
+            self.start = fh.tell()
+            self.lines, self._newlines = _count_lines(fh)
+
+    def parse(self, lo: int, hi: int) -> np.ndarray:
+        """Data rows lo:hi; DataError when they do not parse to (hi - lo, columns),
+        which _row_fault then names."""
+        # the parser reads the lines from the file, so the body is never held as bytes
+        with open(self.path, "rb") as part, warnings.catch_warnings():
+            # a block of blank lines parses to no rows; the shape check reports it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            part.seek(self._line_start(part, lo))
+            try:
+                rows = _parse_rows(itertools.islice(part, hi - lo))
+            except ValueError:
+                raise DataError(f"{self.path}: unparsable rows {lo}-{hi - 1}") from None
+        # loadtxt skips blank lines, so a row count short of the line count is a fault
+        if rows.shape != (hi - lo, self.columns):
+            raise DataError(f"{self.path}: rows {lo}-{hi - 1} parse to shape {rows.shape}")
+        return rows
+
+    def _line_start(self, fh, row: int) -> int:
+        """File offset of data line `row` (below self.lines): for row > 0, one re-read
+        of the chunk of _count_lines that holds the newline ending line row - 1."""
+        if row == 0:
+            return self.start
+        ends = np.cumsum(self._newlines)
+        j = int(np.searchsorted(ends, row))
+        fh.seek(self.start + j * _READ_CHUNK)
+        at = np.flatnonzero(np.frombuffer(fh.read(_READ_CHUNK), np.uint8) == ord("\n"))
+        return self.start + j * _READ_CHUNK + int(at[row - (ends[j] - self._newlines[j]) - 1]) + 1
+
+
 def _count_lines(fh) -> tuple[int, list[int]]:
     """Lines from fh's position to its end, read _READ_CHUNK bytes at a time, and the
     newlines in each read; the last line counts without its line ending."""
     newlines, last = [], b"\n"
     while chunk := fh.read(_READ_CHUNK):
-        newlines.append(chunk.count(b"\n"))
+        newlines.append(int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))))
         last = chunk[-1:]
     return sum(newlines) + (last != b"\n"), newlines
-
-
-def _line_start(fh, body_start: int, newlines: list[int], row: int) -> int:
-    """File offset of data line `row` (0 < row < lines): one re-read of the chunk of
-    _count_lines that holds the newline ending line row - 1."""
-    ends = np.cumsum(newlines)
-    j = int(np.searchsorted(ends, row))
-    fh.seek(body_start + j * _READ_CHUNK)
-    at = np.flatnonzero(np.frombuffer(fh.read(_READ_CHUNK), np.uint8) == ord("\n"))
-    return body_start + j * _READ_CHUNK + int(at[row - (ends[j] - newlines[j]) - 1]) + 1
 
 
 def _parse_rows(source) -> np.ndarray:
@@ -301,11 +322,10 @@ def write_stream(stream: TelemetryStream, path: str | Path) -> None:
                         _write_rows(fh, stream, lo, hi)
                         fh.flush()  # the children's bytes go to fh.buffer, after block 0
 
-                def append(lo: int, hi: int) -> None:
-                    parts[lo].seek(0)
-                    shutil.copyfileobj(parts[lo], fh.buffer)
-
-                run_blocks(bounds, write, "writer of rows", append)
+                run_blocks(bounds, [(named("writer of rows"), write)])
+                for part in parts.values():  # in row order
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh.buffer)
             os.replace(partial, path)
         except OSError as exc:
             raise OSError(f"failed writing stream to {path}: {exc}") from exc

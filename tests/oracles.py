@@ -198,3 +198,20 @@ def reference_stats_block(data):
     skew = np.where(const, 0.0, np.mean(z3, axis=-1))
     kurt = np.where(const, 0.0, np.mean(z3 * z, axis=-1) - 3.0)
     return np.stack([mean, std, kurt, skew, mn, mx, med], axis=-1)
+
+
+def bounded_walk_oracle(rng, n, step_sd, reversion, clamp):
+    """The suspension walk stepped over numpy scalars, one frame at a time: the loop
+    that synth's block-wise walk over Python floats replaced, kept for comparison."""
+    steps = rng.normal(0.0, step_sd, n)
+    keep = 1.0 - reversion
+    out = np.empty(n)
+    x = 0.0
+    for k in range(n):
+        x = x * keep + steps[k]
+        if x > clamp:
+            x = clamp
+        elif x < -clamp:
+            x = -clamp
+        out[k] = x
+    return out

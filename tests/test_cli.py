@@ -544,7 +544,7 @@ def test_detect_failed_child_exits_3(tmp_path, trained_dir, monkeypatch, four_cp
     assert run("detect", "--data", path, "--artifacts", trained_dir) == 3
     err = capsys.readouterr().err
     what = what.format(path=path, n=FORK_MIN_ROWS, last=2 * FORK_MIN_ROWS - 1,
-                       w=((2 * FORK_MIN_ROWS - 32) // 8 + 1) // 2 // 64 * 64)
+                       w=round(((2 * FORK_MIN_ROWS - 32) // 8 + 1) / 2 / 64) * 64)
     assert err.startswith(f"drivemon: i/o error: {what}")
     assert err.endswith(" exited with status 1\n") and err.count("\n") == 1
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from drivemon.detect import (
     SCORE_BLOCK_ROWS,
+    FlagRecord,
     Threshold,
     calibrate,
     flag,
@@ -379,3 +380,69 @@ def test_scores_csv_follows_the_telemetry_grammar(tmp_path, body, message):
     path.write_text(body)
     with pytest.raises(ArtifactError, match=f"scores.csv: .*{re.escape(message)}"):
         read_scores_csv(path)
+
+
+def test_flag_contributors_match_each_row_alone():
+    """flag's one pass over every flagged row picks what top_contributors picks row by
+    row: ties go to the lower feature index, and a second or third contributor under
+    10 % of the score is dropped, the top one never."""
+    rng = np.random.default_rng(21)
+    d = 322
+    E = rng.normal(0.0, 0.01, size=(40, d))
+    E[0, [5, 9, 200]] = [3.0, -3.0, 3.0]  # a three-way tie, one of them negative
+    E[1, [7, 8]] = [-2.0, 2.0]  # a tie for the top contributor
+    E[2, 11] = 40.0  # second and third far under the floor
+    E[3:7] = 0.0
+    E[3, [11, 12, 13]] = [8.0, 1.0, 1.0]  # second and third exactly at the floor: kept
+    E[4, [11, 12, 13]] = [9.0, 0.99, 0.01]  # second just under the floor
+    E[5, 300] = 1.0  # every other magnitude tied at zero
+    E[6, :] = 0.5  # every feature tied
+    scores = np.abs(E).sum(axis=1)
+    scores[7:20] = 0.0  # below the threshold: not flagged
+    t, sol = np.arange(40) * 1.0, np.full(40, 1000)
+    threshold = Threshold(99.0, 1e-9, 100)
+    records = flag(scores, E, t, sol, threshold, "prime")
+    names = feature_mask("prime").names()
+    expected = [top_contributors(E[i], float(scores[i]), "prime", names)
+                for i in np.flatnonzero(scores > threshold.value)]
+    assert [r.contributors for r in records] == expected
+    assert [len(c) for c in expected[:7]] == [3, 2, 1, 3, 1, 1, 1]
+    assert [c[0][0] for c in expected[:7]] == [names[i] for i in (5, 7, 11, 11, 11, 300, 0)]
+    assert [(r.sol, r.start_t, r.score) for r in records] == [
+        (1000, float(i), float(scores[i])) for i in np.flatnonzero(scores > 1e-9)]
+    assert all(type(r.sol) is int and type(r.start_t) is float for r in records)
+    assert flag(scores, E, t, sol, Threshold(99.0, 1e9, 100), "prime") == []
+
+
+@pytest.mark.parametrize("n_records", [0, 1, 2, 3])
+def test_report_json_is_json_dumps_with_indent(tmp_path, n_records):
+    """write_report_json writes the bytes of json.dumps(doc, indent=2) plus a newline,
+    with 1 to 3 contributors per record and floats at the edges of repr."""
+    records = [
+        FlagRecord(sol=1000, start_t=-0.0, score=5e-324, threshold=1e16,
+                   contributors=(("kurt(PD[LF])", 1e16),)),
+        FlagRecord(sol=2**53 - 1, start_t=0.125, score=11.597712345678901, threshold=-0.0,
+                   contributors=(("mean(C[RR])", 5e-324), ("std(accel[Z])", -0.0))),
+        FlagRecord(sol=-3, start_t=1e16, score=1e-7, threshold=2.5,
+                   contributors=(("a", 0.1), ("bé\"", 0.2), ("c", 1e22))),
+    ][:n_records]
+    path = tmp_path / "report.json"
+    write_report_json(records, path)
+    doc = [{"sol": r.sol, "start_t": r.start_t, "score": r.score, "threshold": r.threshold,
+            "contributors": [{"feature": n, "magnitude": m} for n, m in r.contributors]}
+           for r in records]
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert read_report_json(path) == records
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_scores_csv_is_the_row_loop(tmp_path, n):
+    """write_scores_csv writes the bytes of formatting each numpy scalar row by row."""
+    scores = np.array([5e-324, 1e16, -0.0, 11.597712345678901])[:n]
+    start_t = np.array([0.0, 0.125, 1e16, 3.0])[:n]
+    sol = np.array([1000, -1, 2**53 - 1, 7], dtype=np.int64)[:n]
+    path = tmp_path / "scores.csv"
+    write_scores_csv(path, scores, start_t, sol)
+    rows = "".join(f"{int(sol[i])},{repr(float(start_t[i]))},{repr(float(scores[i]))}\n"
+                   for i in range(n))
+    assert path.read_text() == "sol,start_t,score\n" + rows

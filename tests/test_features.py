@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 import tracemalloc
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from drivemon import features, pipeline
+from drivemon import features, parallel, pipeline, telemetry
 from drivemon.derive import DerivedStream, derive_stream
 from drivemon.errors import ArtifactError, DataError
 from drivemon.features import (
@@ -22,13 +23,14 @@ from drivemon.features import (
     WindowSpec,
     feature_mask,
     feature_matrix,
+    featurize_csv,
     fit_scaler,
     _stats_block,
     stats7,
     window_arrays,
 )
 from drivemon.parallel import FORK_MIN_ROWS
-from drivemon.telemetry import write_stream
+from drivemon.telemetry import CSV_HEADER, read_stream, write_stream
 
 from conftest import make_stream
 from oracles import reference_stats_block, stats7_oracle, window_count_oracle
@@ -406,6 +408,188 @@ def test_failed_featurizer_child_is_an_io_error(tmp_path, monkeypatch, four_cpus
     n_windows = (2 * FORK_MIN_ROWS - 32) // 8 + 1
     with pytest.raises(OSError, match=re.escape(
             f"failed featurizing {path}: featurizer of windows "
-            f"{n_windows // 2 // STATS_BLOCK_WINDOWS * STATS_BLOCK_WINDOWS}-{n_windows - 1} "
+            f"{round(n_windows / 2 / STATS_BLOCK_WINDOWS) * STATS_BLOCK_WINDOWS}-{n_windows - 1} "
             "exited with status 1")):
         pipeline._featurize(path, WindowSpec(), "prime")
+
+
+# -- featurize_csv: each process parses, derives and featurizes its own rows --
+
+def _one_process(path, monkeypatch, spec=WindowSpec()):
+    """feature_matrix(read_stream(path)) with os.fork removed."""
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        return feature_matrix(read_stream(path), spec, feature_mask("prime"))
+
+
+def _assert_same_features(fused, single):
+    assert fused[0].shape == single[0].shape and len(fused[0]) > 0
+    for got, want in zip(fused, single):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stride_s", [0.125, 1.0, 2.0])
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_featurize_csv_matches_one_process(tmp_path, monkeypatch, four_cpus, stride_s, blocks,
+                                           extra):
+    """Drives of FORK_MIN_ROWS * j + {-1, 0, 1} frames: one process per FORK_MIN_ROWS
+    frames, this one featurizing whole blocks of windows, and X, start_t and sol byte
+    for byte one process's read_stream then feature_matrix."""
+    n = FORK_MIN_ROWS * blocks + extra
+    path = tmp_path / "s.csv"
+    write_stream(make_stream(n, seed=n), path)
+    four_cpus.clear()
+    spec = WindowSpec(stride_s=stride_s)
+    blocks_here = []  # windows per _stats_block call in this process
+    with monkeypatch.context() as m:
+        m.setattr(features, "_stats_block",
+                  lambda data: blocks_here.append(len(data)) or _stats_block(data))
+        fused = featurize_csv(path, spec, feature_mask("prime"))
+    assert len(four_cpus) == max(1, n // FORK_MIN_ROWS) - 1
+    if four_cpus:
+        assert set(blocks_here) == {STATS_BLOCK_WINDOWS}
+    _assert_same_features(fused, _one_process(path, monkeypatch, spec))
+
+
+@pytest.mark.parametrize("layout", ["crlf", "no-final-newline"])
+@pytest.mark.parametrize("n", [2 * FORK_MIN_ROWS + 1, 3 * FORK_MIN_ROWS])
+def test_featurize_csv_line_layouts(tmp_path, monkeypatch, four_cpus, layout, n):
+    path = tmp_path / "s.csv"
+    write_stream(make_stream(n, seed=n), path)
+    body = path.read_bytes()
+    path.write_bytes(body.replace(b"\n", b"\r\n") if layout == "crlf" else body[:-1])
+    four_cpus.clear()
+    fused = featurize_csv(path, WindowSpec(), feature_mask("prime"))
+    assert len(four_cpus) == n // FORK_MIN_ROWS - 1
+    _assert_same_features(fused, _one_process(path, monkeypatch))
+
+
+#: Faults in one data line's cells, each named by its row in the error.
+LINE_FAULTS = {
+    "bad-cell": lambda cells: cells[:-1] + ["x"],
+    "blank": lambda cells: [],
+    "short": lambda cells: cells[:-1],
+    "nan": lambda cells: cells[:-1] + ["nan"],
+    "off-grid-t": lambda cells: [repr(float(cells[0]) + 0.01)] + cells[1:],
+    "sol-decreases": lambda cells: [cells[0], str(int(cells[1]) - 1)] + cells[2:],
+}
+
+
+def _drive_with_faults(tmp_path, faults):
+    """A 2 x FORK_MIN_ROWS-frame drive with faults {row: name of LINE_FAULTS}. At the
+    default geometry its child reads rows FORK_MIN_ROWS on, and its parent reads the 24
+    after its own as well."""
+    path = tmp_path / "s.csv"
+    write_stream(make_stream(2 * FORK_MIN_ROWS, seed=9), path)
+    lines = path.read_text().split("\n")
+    for row, fault in faults.items():
+        lines[1 + row] = ",".join(LINE_FAULTS[fault](lines[1 + row].split(",")))
+    path.write_text("\n".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("fault", LINE_FAULTS)
+@pytest.mark.parametrize("row", [100, FORK_MIN_ROWS - 1, FORK_MIN_ROWS, FORK_MIN_ROWS + 23,
+                                 FORK_MIN_ROWS + 24, 2 * FORK_MIN_ROWS - 1],
+                         ids=["parent", "parent-last", "overlap-first", "overlap-last",
+                              "child", "child-last"])
+def test_featurize_csv_fault_is_one_process_error(tmp_path, monkeypatch, four_cpus, fault,
+                                                  row):
+    """A fault in the parent's rows, in the overlap rows that both processes parse, or in
+    the child's rows gives the error read_stream gives in one process."""
+    path = _drive_with_faults(tmp_path, {row: fault})
+    four_cpus.clear()
+    with pytest.raises(DataError) as fused:
+        featurize_csv(path, WindowSpec(), feature_mask("prime"))
+    assert len(four_cpus) == 1
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        with pytest.raises(DataError) as single:
+            read_stream(path)
+    assert type(fused.value) is type(single.value)
+    assert str(fused.value) == str(single.value)
+    assert re.search(f"row {row}\\b", str(fused.value))
+
+
+def _fail_in_child(monkeypatch, phase, how="raise"):
+    """Make every forked child fail in phase ("reading" or "featurizing"): raise
+    MemoryError, or be killed by SIGKILL."""
+    module, name = ((telemetry, "_parse_rows") if phase == "reading"
+                    else (features, "_stats_block"))
+    parent, real = os.getpid(), getattr(module, name)
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise MemoryError
+        return real(*args)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+N_WINDOWS = (2 * FORK_MIN_ROWS - 32) // 8 + 1  # of a 2 x FORK_MIN_ROWS-frame drive
+CHILD_BLOCK = {  # what the child of such a drive reads and featurizes
+    "reading": f"reader of rows {FORK_MIN_ROWS}-{2 * FORK_MIN_ROWS - 1}",
+    "featurizing": f"featurizer of windows "
+                   f"{round(N_WINDOWS / 2 / STATS_BLOCK_WINDOWS) * STATS_BLOCK_WINDOWS}-"
+                   f"{N_WINDOWS - 1}",
+}
+
+
+@pytest.mark.parametrize("phase", ["reading", "featurizing"])
+@pytest.mark.parametrize("how,status", [("raise", 1), ("killed", -signal.SIGKILL)])
+def test_featurize_csv_failed_child_names_its_phase(tmp_path, monkeypatch, four_cpus, phase,
+                                                    how, status):
+    """A child that fails while parsing or while featurizing, even one killed outright,
+    raises an OSError naming the file, that phase and the child's rows or windows."""
+    path = tmp_path / "s.csv"
+    write_stream(make_stream(2 * FORK_MIN_ROWS, seed=13), path)
+    _fail_in_child(monkeypatch, phase, how)
+    four_cpus.clear()
+    with pytest.raises(OSError, match=re.escape(
+            f"failed {phase} {path}: {CHILD_BLOCK[phase]} exited with status {status}")):
+        featurize_csv(path, WindowSpec(), feature_mask("prime"))
+    assert len(four_cpus) == 1
+
+
+@pytest.mark.parametrize("fault,phase,expected", [
+    ("sol-decreases", "featurizing", "sol decreases at row 100"),
+    ("bad-cell", "featurizing", "unparsable cell at row 100"),
+    ("sol-decreases", "reading", "failed reading"),
+    ("bad-cell", "reading", "unparsable cell at row 100"),
+])
+def test_featurize_csv_error_precedence(tmp_path, monkeypatch, four_cpus, fault, phase,
+                                        expected):
+    """As read_stream then feature_matrix: a bad row before any child failure, a
+    reader's failure before the stream's checks, which come before a featurizer's."""
+    path = _drive_with_faults(tmp_path, {100: fault})
+    _fail_in_child(monkeypatch, phase)
+    with pytest.raises((DataError, OSError), match=expected) as exc:
+        featurize_csv(path, WindowSpec(), feature_mask("prime"))
+    assert isinstance(exc.value, OSError) == expected.startswith("failed")
+
+
+@pytest.mark.parametrize("n", [1, 40, 2 * FORK_MIN_ROWS - 1])
+def test_one_process_maps_no_shared_memory(tmp_path, monkeypatch, four_cpus, n):
+    """A drive too short to split is read, and featurized, into plain arrays of this
+    process: no shared memory is mapped, and nothing is forked."""
+    path = tmp_path / "s.csv"
+    stream = make_stream(n, seed=n)
+    write_stream(stream, path)
+    want = feature_matrix(stream, WindowSpec(), feature_mask("prime"))
+
+    def refuse(shape):
+        raise AssertionError(f"shared memory mapped for {shape}")
+
+    monkeypatch.setattr(parallel, "shared_empty", refuse)
+    four_cpus.clear()
+    table = telemetry.read_table(path, CSV_HEADER)
+    assert np.array_equal(table[:, 2:], stream.values)
+    assert read_stream(path).values.tobytes() == stream.values.tobytes()
+    got = featurize_csv(path, WindowSpec(), feature_mask("prime"))
+    assert four_cpus == []
+    assert got[0].shape == (max(0, (n - 32) // 8 + 1), N_PRIME_FEATURES)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -22,6 +22,7 @@ from drivemon.synth import (
     write_labels,
 )
 from drivemon.telemetry import channel_index
+from oracles import bounded_walk_oracle
 
 
 def test_generation_is_deterministic():
@@ -50,6 +51,20 @@ def test_suspension_within_clamp():
     stream = generate_nominal(NominalProfile(duration_s=500.0), 3)
     for name in ("bogie_L", "bogie_R", "diff_L", "diff_R"):
         assert np.max(np.abs(stream.channel(name))) <= synth.SUSPENSION_CLAMP_RAD
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 10000])
+@pytest.mark.parametrize("step_sd", [synth.SUSPENSION_STEP_RAD, 0.05])
+def test_bounded_walk_matches_the_scalar_loop(monkeypatch, n, step_sd):
+    """The walk over Python floats, a block at a time, is byte for byte the loop over
+    numpy scalars, at the clamp too (0.05 rad steps reach it)."""
+    monkeypatch.setattr(synth, "SUSPENSION_STEP_RAD", step_sd)
+    walk = synth._bounded_walk(np.random.default_rng(n), n)
+    ref = bounded_walk_oracle(np.random.default_rng(n), n, step_sd, synth.SUSPENSION_REVERSION,
+                              synth.SUSPENSION_CLAMP_RAD)
+    assert walk.tobytes() == ref.tobytes()
+    if step_sd == 0.05 and n > 1000:
+        assert np.count_nonzero(np.abs(walk) == synth.SUSPENSION_CLAMP_RAD) > 10
 
 
 def test_all_values_finite():
