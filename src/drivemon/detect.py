@@ -127,26 +127,6 @@ def calibrate(scores, percentile: float = 99.9) -> Threshold:
     return Threshold(percentile=float(percentile), value=value, calibration_size=len(arr))
 
 
-def top_contributors(
-    e: np.ndarray, a: float, variant: str, names: list[str] | None = None
-) -> tuple[tuple[str, float], ...]:
-    """Top features by residual magnitude, at most 3, each >= 10% of the score.
-
-    The largest contributor is always kept so a flag is never unexplained.
-    Ties resolve to the lower feature index.
-    """
-    mags = np.abs(np.asarray(e, dtype=np.float64))
-    order = np.argsort(-mags, kind="stable")[:MAX_CONTRIBUTORS]
-    if names is None:
-        names = feature_mask(variant).names()
-    picked = []
-    for rank, idx in enumerate(order):
-        if rank > 0 and mags[idx] < CONTRIBUTOR_FLOOR * a:
-            break
-        picked.append((names[int(idx)], float(mags[idx])))
-    return tuple(picked)
-
-
 def flag(
     scores: np.ndarray,
     residuals: np.ndarray,
@@ -158,7 +138,9 @@ def flag(
     """Emit a record for every window whose score strictly exceeds the threshold.
 
     Row i of scores (n,) and residuals (n, d), as score_matrix returns them,
-    and of start_t and sol, as feature_matrix returns them, is window i.
+    and of start_t and sol, as feature_matrix returns them, is window i. A record names at
+    most MAX_CONTRIBUTORS features by residual magnitude, each at least CONTRIBUTOR_FLOOR
+    of the score but the largest, which is always kept; ties go to the lower index.
     """
     names = feature_mask(variant).names()
     scores = np.asarray(scores, dtype=np.float64)
@@ -169,8 +151,8 @@ def flag(
             f"{len(start_t)} start times, {len(sol)} sols for {len(names)} {variant} features"
         )
     flagged = np.flatnonzero(scores > threshold.value)
-    # top_contributors of every flagged row at once: argmax takes the lower index of a
-    # tie, and each pick is masked out (every magnitude is >= 0) before the next
+    # every flagged row at once: argmax takes the lower index of a tie, and each pick is
+    # masked out (every magnitude is >= 0) before the next
     mags = np.abs(np.asarray(residuals, dtype=np.float64)[flagged])
     floor = CONTRIBUTOR_FLOOR * scores[flagged]
     rows = np.arange(len(flagged))

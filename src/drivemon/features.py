@@ -152,39 +152,49 @@ def window_arrays(
     return _windows(stream.values, spec), stream.t[starts], stream.sol[starts]
 
 
-def _stats_block(data: np.ndarray) -> np.ndarray:
+def _stats_scratch(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_stats_block's two buffers, laid out as np.sort's copy of swapaxes(data, 1, 2) and
+    `x - mean` are: a mean sums in memory order, so another layout changes its bits."""
+    x = np.swapaxes(data, 1, 2)
+    return np.empty_like(x), np.empty_like(x)
+
+
+def _stats_block(data: np.ndarray, scratch: tuple | None = None) -> np.ndarray:
     """Seven statistics along the frame axis of (n, frames, channels) data.
 
     Returns (n, channels, 7) in STATS order. Uses population (biased)
     moments; skew and excess kurtosis of a constant column are 0 by
     definition, with constancy detected exactly (min == max, or a second
-    moment that is exactly zero).
+    moment that is exactly zero). The sort, the deviations and their powers
+    are written into `scratch`, _stats_scratch(data), made here when not given.
     """
     x = np.swapaxes(data, 1, 2)  # (n, channels, frames)
-    # min, max and median from one sort; the sorted copy is freed before the
-    # moment temporaries are allocated, which keeps the peak memory down
-    s = np.sort(x, axis=-1)
+    a, b = _stats_scratch(data) if scratch is None else scratch
+    # min, max and median from one sort, in place in a copy of x
+    np.copyto(a, x)
+    a.sort(axis=-1)
     h = x.shape[-1] // 2
-    mn = s[..., 0].copy()
-    mx = s[..., -1].copy()
-    med = s[..., h].copy() if x.shape[-1] % 2 else (s[..., h - 1] + s[..., h]) / 2
-    del s
+    mn = a[..., 0].copy()
+    mx = a[..., -1].copy()
+    med = a[..., h].copy() if x.shape[-1] % 2 else (a[..., h - 1] + a[..., h]) / 2
     nan = np.isnan(mx)  # a NaN sorts last; min and median propagate it, as max does
     mn[nan] = med[nan] = mx[nan]
     # the moments stay on the strided view: a contiguous copy would change the
     # summation order of the mean
     mean = x.mean(axis=-1)
-    d = x - mean[..., None]
-    m2 = np.mean(d * d, axis=-1)
+    d = np.subtract(x, mean[..., None], out=a)
+    m2 = np.multiply(d, d, out=b).mean(axis=-1)
     # m2 == 0 also catches underflowed deviations of denormal-scale columns
     const = (mn == mx) | (m2 == 0.0)
     std = np.where(const, 0.0, np.sqrt(m2))
     # higher moments of the std-normalized deviations: same as m3/m2^1.5 and
     # m4/m2^2 but immune to underflow since |d/std| <= sqrt(frames)
-    z = d / np.where(const, 1.0, std)[..., None]
-    z3 = z * z * z
-    skew = np.where(const, 0.0, np.mean(z3, axis=-1))
-    kurt = np.where(const, 0.0, np.mean(z3 * z, axis=-1) - 3.0)
+    z = np.divide(d, np.where(const, 1.0, std)[..., None], out=a)
+    z3 = np.multiply(z, z, out=b)
+    z3 *= z
+    skew = np.where(const, 0.0, z3.mean(axis=-1))
+    z3 *= z
+    kurt = np.where(const, 0.0, z3.mean(axis=-1) - 3.0)
     return np.stack([mean, std, kurt, skew, mn, mx, med], axis=-1)
 
 
@@ -227,6 +237,7 @@ def _featurize_windows(frames: np.ndarray, raw: bool, X: np.ndarray, first: int,
     telemetry when raw, else derived), STATS_BLOCK_WINDOWS windows at a time from
     window first, a multiple of it."""
     w, s = spec.window_frames, spec.stride_frames
+    scratch = None  # _stats_block's buffers, made by the first block and a shorter last one
     for lo in range(first, last, STATS_BLOCK_WINDOWS):
         hi = min(lo + STATS_BLOCK_WINDOWS, last)
         block = frames[(lo - first) * s:(hi - 1 - first) * s + w]
@@ -234,8 +245,12 @@ def _featurize_windows(frames: np.ndarray, raw: bool, X: np.ndarray, first: int,
             block = derive_values(block)
         # windows of one (frames, 46) array, never a copy, so each window's sums keep
         # the order they have in the whole derived stream
-        stats = _stats_block(_windows(block, spec))
-        X[lo:hi] = stats.reshape(hi - lo, -1)[:, mask.indices]
+        windows = _windows(block, spec)
+        if scratch is None or len(scratch[0]) != hi - lo:
+            scratch = _stats_scratch(windows)
+        stats = _stats_block(windows, scratch)
+        # mode="clip" writes straight into X; the default mode copies through a buffer
+        np.take(stats.reshape(hi - lo, -1), mask.indices, axis=1, out=X[lo:hi], mode="clip")
 
 
 def featurize_csv(path: str | Path, spec: WindowSpec,

@@ -215,3 +215,17 @@ def bounded_walk_oracle(rng, n, step_sd, reversion, clamp):
             x = -clamp
         out[k] = x
     return out
+
+
+def top_contributors(e, a, names):
+    """Top features of one residual row e by magnitude, at most 3, each >= 10% of the
+    score a, ties to the lower index, the top one always kept: the row-by-row loop
+    that `detect.flag`'s pass over every flagged row replaced, kept for comparison."""
+    mags = np.abs(np.asarray(e, dtype=np.float64))
+    order = np.argsort(-mags, kind="stable")[:3]
+    picked = []
+    for rank, idx in enumerate(order):
+        if rank > 0 and mags[idx] < 0.10 * a:
+            break
+        picked.append((names[int(idx)], float(mags[idx])))
+    return tuple(picked)

@@ -16,7 +16,6 @@ from drivemon.detect import (
     read_report_json,
     read_scores_csv,
     score_matrix,
-    top_contributors,
     write_report_csv,
     write_report_json,
     write_scores_csv,
@@ -27,7 +26,7 @@ from drivemon.net import build_model, forward, new_model
 
 import numpy.testing as npt
 
-from oracles import nearest_rank_oracle
+from oracles import nearest_rank_oracle, top_contributors
 
 
 def identity_model(d, variant="custom"):
@@ -218,22 +217,30 @@ def test_flag_misalignment():
         flag(one, np.ones((1, 301)), one, one, threshold, "prime")  # width of another variant
 
 
+def flagged_contributors(e, a, variant):
+    """The contributors flag names for one window of residuals e and score a."""
+    records = flag(np.array([a]), np.asarray(e)[None, :], np.zeros(1), np.zeros(1, dtype=int),
+                   Threshold(percentile=50.0, value=0.0, calibration_size=100), variant)
+    assert len(records) == 1
+    return records[0].contributors
+
+
 def test_contributor_order_and_floor():
     names = feature_mask("prime").names()
     # all three above the 10% floor: sorted by |e| descending
     e = np.zeros(322)
     e[0], e[1], e[2] = 0.5, -0.9, 0.3
-    picks = top_contributors(e, np.abs(e).sum(), "prime")
+    picks = flagged_contributors(e, np.abs(e).sum(), "prime")
     assert [p[0] for p in picks] == [names[1], names[0], names[2]]
     assert [p[1] for p in picks] == [0.9, 0.5, 0.3]
     # third falls under 10% of a = 1.5 and is dropped
     e[2] = 0.1
-    picks = top_contributors(e, np.abs(e).sum(), "prime")
+    picks = flagged_contributors(e, np.abs(e).sum(), "prime")
     assert [p[0] for p in picks] == [names[1], names[0]]
     # the top contributor is always kept, floor notwithstanding
     tiny = np.zeros(322)
     tiny[5] = 1e-9
-    picks = top_contributors(tiny, 1.0, "prime")
+    picks = flagged_contributors(tiny, 1.0, "prime")
     assert [p[0] for p in picks] == [names[5]]
 
 
@@ -241,7 +248,7 @@ def test_contributor_magnitudes_bounded_by_score(rng):
     for _ in range(25):
         e = rng.standard_normal(301)
         a = np.abs(e).sum()
-        picks = top_contributors(e, a, "refined")
+        picks = flagged_contributors(e, a, "refined")
         assert sum(m for _, m in picks) <= a + 1e-12
         assert all(m >= 0 for _, m in picks)
 
@@ -403,7 +410,7 @@ def test_flag_contributors_match_each_row_alone():
     threshold = Threshold(99.0, 1e-9, 100)
     records = flag(scores, E, t, sol, threshold, "prime")
     names = feature_mask("prime").names()
-    expected = [top_contributors(E[i], float(scores[i]), "prime", names)
+    expected = [top_contributors(E[i], float(scores[i]), names)
                 for i in np.flatnonzero(scores > threshold.value)]
     assert [r.contributors for r in records] == expected
     assert [len(c) for c in expected[:7]] == [3, 2, 1, 3, 1, 1, 1]

@@ -215,10 +215,12 @@ def test_stats_block_bitwise_matches_reference(frames):
     rng = np.random.default_rng(frames)
     values = np.column_stack(awkward_columns(rng, 200))
     values[[40, 41, 90], [0, 3, 5]] = [np.nan, np.inf, -np.inf]  # spoils a few windows
-    # the strided windows feature_matrix uses, and a contiguous copy of them
+    # the strided windows feature_matrix uses, a contiguous copy of them, and a copy whose
+    # frame axis is fastest: the statistics' buffers must take each one's layout
     windows = np.swapaxes(sliding_window_view(values, frames, axis=0)[::8], 1, 2)
+    frames_fastest = np.ascontiguousarray(np.swapaxes(windows, 1, 2)).swapaxes(1, 2)
     with np.errstate(invalid="ignore"):  # inf - inf in the spoiled windows' moments
-        for data in (windows, np.ascontiguousarray(windows)):
+        for data in (windows, np.ascontiguousarray(windows), frames_fastest):
             assert _stats_block(data).tobytes() == reference_stats_block(data).tobytes()
 
 
@@ -379,7 +381,8 @@ def test_forked_feature_matrix_matches_one_process(monkeypatch, four_cpus, strid
     blocks = []  # windows per _stats_block call in this process
     with monkeypatch.context() as m:
         m.setattr(features, "_stats_block",
-                  lambda data: blocks.append(len(data)) or _stats_block(data))
+                  lambda data, *scratch: blocks.append(len(data))
+                  or _stats_block(data, *scratch))
         X, start_t, sol = feature_matrix(stream, spec, mask)
     assert len(four_cpus) == 1
     assert set(blocks) == {STATS_BLOCK_WINDOWS}
@@ -399,10 +402,10 @@ def test_failed_featurizer_child_is_an_io_error(tmp_path, monkeypatch, four_cpus
     write_stream(make_stream(2 * FORK_MIN_ROWS, seed=13), path)
     parent, stats_block = os.getpid(), features._stats_block
 
-    def failing(data):
+    def failing(data, *scratch):
         if os.getpid() != parent:
             raise error("injected")
-        return stats_block(data)
+        return stats_block(data, *scratch)
 
     monkeypatch.setattr(features, "_stats_block", failing)
     n_windows = (2 * FORK_MIN_ROWS - 32) // 8 + 1
@@ -444,7 +447,8 @@ def test_featurize_csv_matches_one_process(tmp_path, monkeypatch, four_cpus, str
     blocks_here = []  # windows per _stats_block call in this process
     with monkeypatch.context() as m:
         m.setattr(features, "_stats_block",
-                  lambda data: blocks_here.append(len(data)) or _stats_block(data))
+                  lambda data, *scratch: blocks_here.append(len(data))
+                  or _stats_block(data, *scratch))
         fused = featurize_csv(path, spec, feature_mask("prime"))
     assert len(four_cpus) == max(1, n // FORK_MIN_ROWS) - 1
     if four_cpus:
