@@ -12,14 +12,15 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .derive import DERIVED_CHANNELS, DerivedStream, channel_display, derive_values
-from .errors import (ArtifactError, DataError, list_of, read_fields, read_json, strict_float,
-                     strict_str)
-from .parallel import BlockError, block_bounds, block_empty, named, run_blocks
+from .errors import (ArtifactError, DataError, PipelineError, list_of, read_fields, read_json,
+                     strict_float, strict_str)
+from .parallel import BlockDataError, BlockError, block_bounds, block_empty, named, run_blocks
 from .telemetry import (CSV_HEADER, SAMPLE_RATE_HZ, TelemetryStream, _Body, _check_frames,
                         _row_fault, is_frame_aligned)
 
@@ -253,32 +254,48 @@ def _featurize_windows(frames: np.ndarray, raw: bool, X: np.ndarray, first: int,
         np.take(stats.reshape(hi - lo, -1), mask.indices, axis=1, out=X[lo:hi], mode="clip")
 
 
-def featurize_csv(path: str | Path, spec: WindowSpec,
-                  mask: FeatureMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """feature_matrix(read_stream(path), spec, mask), with its bits and read_stream's
-    errors, in one fork round.
+def featurize_csv(path: str | Path, spec: WindowSpec, mask: FeatureMask,
+                  scaler: MinMaxScaler | None = None,
+                  meanwhile: Callable[[], None] | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """feature_matrix(read_stream(path), spec, mask), scaled by scaler when given, with
+    its bits and read_stream's errors, in one fork round.
 
     The rows are cut where a run of whole STATS_BLOCK_WINDOWS blocks of windows
     starts, one run per process (`block_bounds` over the windows). Each process
     parses its rows into the table, then featurizes its windows from the rows it
-    parsed, into X. The window_frames - stride_frames rows after its own, which
-    its last windows reach, it parses as well. Once every process is done, this
-    one checks the table in place as TelemetryStream checks its arrays. A bad
-    row is named by the line-by-line diagnosis, a child that fails by its phase:
-    "failed reading <path>: reader of rows a-b ..." or "failed featurizing
-    <path>: featurizer of windows a-b ...". Overflowing telemetry gives
-    non-finite features, which the caller checks.
+    parsed, into X, notes its first non-finite feature and scales its rows of X
+    in place. The window_frames - stride_frames rows after its own, which its
+    last windows reach, it parses as well. meanwhile() runs in this process while
+    the children work (`run_blocks`), and before the CSV's errors are raised.
+
+    Once every process is done, this one checks the table in place as
+    TelemetryStream checks its arrays. A bad row is named by the line-by-line
+    diagnosis, a child that fails by its phase: "failed reading <path>: reader
+    of rows a-b ..." or "failed featurizing <path>: featurizer of windows a-b
+    ...". Last, a non-finite feature, which overflowing telemetry gives, raises
+    a DataError naming the first such window and feature.
     """
-    path = Path(path)
-    body = _Body(path, CSV_HEADER)
+    name, path = path, Path(path)  # the non-finite error names the file as given
+    try:
+        # transform's own check, made here: a child's error would read as a bad row
+        if scaler is not None and len(scaler) != len(mask):
+            raise DataError(f"expected {len(scaler)} features, got {len(mask)}")
+        body = _Body(path, CSV_HEADER)
+    except (PipelineError, OSError):
+        if meanwhile is not None:
+            meanwhile()
+        raise
     n, w, s = body.lines, spec.window_frames, spec.stride_frames
     starts = _window_starts(n, spec)
-    n_windows = len(starts)
+    n_windows, d = len(starts), len(mask)
     # each process's first row is the first frame of its first window
     bounds = sorted({lo * s for lo in block_bounds(n_windows, n, STATS_BLOCK_WINDOWS)[:-1]}
                     | {0, n})
     table = block_empty((n, len(CSV_HEADER)), bounds)
-    X = block_empty((n_windows, len(mask)), bounds)
+    X = block_empty((n_windows, d), bounds)
+    # each process's first non-finite element of X, as a flat index, or inf
+    first_bad = block_empty((len(bounds) - 1,), bounds)
     parsed = {}  # each block's rows and the rows after it that its windows reach
 
     def windows(lo: int, hi: int) -> tuple[int, int]:
@@ -289,15 +306,23 @@ def featurize_csv(path: str | Path, spec: WindowSpec,
         table[lo:hi] = parsed[lo][:hi - lo]
 
     def featurize(lo: int, hi: int) -> None:
+        first, last = windows(lo, hi)
+        rows = X[first:last]
         with np.errstate(over="ignore", invalid="ignore"):
-            _featurize_windows(parsed.pop(lo)[:, 2:], True, X, *windows(lo, hi), spec, mask)
+            _featurize_windows(parsed.pop(lo)[:, 2:], True, X, first, last, spec, mask)
+            # a finite sum needs every element finite, and costs no array
+            bad = [] if np.isfinite(rows.sum()) else np.flatnonzero(~np.isfinite(rows))
+        first_bad[bounds.index(lo)] = first * d + bad[0] if len(bad) else np.inf
+        if scaler is not None and not len(bad):
+            scaler.transform(rows, out=rows)
 
     featurizer = named("featurizer of windows")
     failed = None
     try:
         run_blocks(bounds, [(named("reader of rows"), read),
-                            (lambda lo, hi: featurizer(*windows(lo, hi)), featurize)])
-    except DataError:
+                            (lambda lo, hi: featurizer(*windows(lo, hi)), featurize)],
+                   meanwhile)
+    except BlockDataError:
         raise _row_fault(path, len(CSV_HEADER)) from None
     except BlockError as exc:
         failed = exc
@@ -310,7 +335,13 @@ def featurize_csv(path: str | Path, spec: WindowSpec,
     if failed is not None:
         raise OSError(f"failed {('reading', 'featurizing')[failed.phase]} {path}: "
                       f"{failed}") from failed
-    return X, table[starts, 0], table[starts, 1].astype(np.int64)
+    start_t = table[starts, 0]
+    bad = first_bad.min(initial=np.inf)  # the lowest process's, so the lowest window's
+    if np.isfinite(bad):
+        window, feature = divmod(int(bad), d)
+        raise DataError(f"{name}: window {window} (start_t {float(start_t[window])}) has "
+                        f"non-finite {mask.names()[feature]}; the telemetry overflows")
+    return X, start_t, table[starts, 1].astype(np.int64)
 
 
 #: scaler.json: field -> how it is read back; "constant" is written for people only.
@@ -349,14 +380,15 @@ class MinMaxScaler:
     def constant_features(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.constant_)]
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        """(x - min) / (max - min) per feature; accepts (d,) or (n, d)."""
+    def transform(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(x - min) / (max - min) per feature; accepts (d,) or (n, d). Written into
+        out when given, which may be x itself."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != len(self):
             raise DataError(f"expected {len(self)} features, got {x.shape[-1]}")
         span = np.where(self.constant_, 1.0, self.max_ - self.min_)
         # one output array, divided in place: no temporary as large as x
-        out = np.subtract(x, self.min_)
+        out = np.subtract(x, self.min_, out=out)
         out /= span
         if np.any(self.constant_):
             out[..., self.constant_] = 0.0

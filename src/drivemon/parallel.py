@@ -40,6 +40,10 @@ def named(what: str) -> Callable[[int, int], str]:
     return lambda lo, hi: f"{what} {lo}-{hi - 1}"
 
 
+class BlockDataError(DataError):
+    """A process of run_blocks found bad data; the message names its block."""
+
+
 class BlockError(OSError):
     """A process of run_blocks failed in phases[phase] for a reason other than bad data."""
 
@@ -80,19 +84,24 @@ def block_empty(shape: tuple[int, ...], bounds: list[int]) -> np.ndarray:
     return shared_empty(shape) if len(bounds) > 2 else np.empty(shape)
 
 
-def run_blocks(bounds: list[int], phases: Sequence[Phase]) -> None:
+def run_blocks(bounds: list[int], phases: Sequence[Phase],
+               meanwhile: Callable[[], None] | None = None) -> None:
     """Run every phase, in order, on every block [bounds[i], bounds[i + 1]).
 
-    Forks one child per block after the first, runs the first block here, then
-    waits for every child in row order. Each process runs work(lo, hi) of each
-    phase in turn and stops at the first that raises. The earliest phase that
-    failed in any process, bad data before other failures and then the lowest
-    block, raises here: a DataError as a DataError, anything else as a
-    BlockError, each naming the block by its phase's name. A child marks each
-    phase in shared memory as it starts it, so one that dies, even by a signal,
-    is named by the phase it died in. Other exceptions of this process
-    (MemoryError, Ctrl-C) pass through at once. Whatever stops this process
-    kills and reaps every child still running, so none outlives the call.
+    Forks one child per block after the first, runs meanwhile() here when given,
+    then the first block, then waits for every child in row order. meanwhile is
+    this process's work that needs no block: it overlaps the children's, and
+    whatever it raises passes through at once, before any block's failure.
+
+    Each process runs work(lo, hi) of each phase in turn and stops at the first
+    that raises. The earliest phase that failed in any process, bad data before
+    other failures and then the lowest block, raises here: a DataError as a
+    BlockDataError, anything else as a BlockError, each naming the block by its
+    phase's name. A child marks each phase in shared memory as it starts it, so
+    one that dies, even by a signal, is named by the phase it died in. Other
+    exceptions of this process (MemoryError, Ctrl-C) pass through at once.
+    Whatever stops this process kills and reaps every child still running, so
+    none outlives the call.
     """
     blocks = list(zip(bounds[:-1], bounds[1:]))
     reached = block_empty((len(blocks),), bounds)  # the phase each process is in
@@ -102,6 +111,8 @@ def run_blocks(bounds: list[int], phases: Sequence[Phase]) -> None:
     try:
         for i, (lo, hi) in enumerate(blocks[1:], 1):
             pids.append(_fork(phases, reached, i, lo, hi))
+        if meanwhile is not None:
+            meanwhile()
         if blocks:
             try:
                 _run_phases(phases, reached, 0, *blocks[0])
@@ -123,7 +134,7 @@ def run_blocks(bounds: list[int], phases: Sequence[Phase]) -> None:
     if failures:
         phase, other, i, what = min(failures)
         message = f"{phases[phase][0](*blocks[i])} {what}"
-        raise BlockError(message, phase) if other else DataError(message)
+        raise BlockError(message, phase) if other else BlockDataError(message)
 
 
 def _run_phases(phases: Sequence[Phase], reached: np.ndarray, i: int, lo: int,

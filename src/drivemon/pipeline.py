@@ -30,19 +30,13 @@ CALIBRATION_SCORES_FILE = "calibration_scores.csv"
 PIPELINE_FILE = "pipeline.json"
 
 
-def _featurize(data, spec: features.WindowSpec, variant: str):
-    """(X, start_t, sol) of a telemetry CSV's complete windows, every feature finite."""
+def _featurize(data, spec: features.WindowSpec, variant: str, scaler=None, meanwhile=None):
+    """(X, start_t, sol) of a telemetry CSV's complete windows, every feature finite, X
+    scaled by scaler when given; meanwhile() runs during featurize_csv's fork round."""
     mask = features.feature_mask(variant)
-    X, start_t, sol = features.featurize_csv(data, spec, mask)
+    X, start_t, sol = features.featurize_csv(data, spec, mask, scaler, meanwhile)
     if X.shape[0] == 0:
         raise DataError(f"{data}: no complete {spec.window_s} s windows in stream")
-    # huge but finite telemetry can overflow where featurize_csv derives the power
-    # channels; this check reports where
-    bad = np.flatnonzero(~np.isfinite(X))
-    if len(bad):
-        window, feature = divmod(int(bad[0]), X.shape[1])
-        raise DataError(f"{data}: window {window} (start_t {float(start_t[window])}) has "
-                        f"non-finite {mask.names()[feature]}; the telemetry overflows")
     return X, start_t, sol
 
 
@@ -61,8 +55,10 @@ PIPELINE_FIELDS = {"window_s": strict_float, "stride_s": strict_float,
                    "calibration": (object_of(CALIBRATION_FIELDS), None)}
 
 
-def _read_pipeline(artifacts: Path) -> tuple[dict, dict, features.WindowSpec]:
-    """pipeline.json as written, its fields as read back, and the window geometry in it."""
+def _read_pipeline(artifacts: Path, stride_s: float | None = None
+                   ) -> tuple[dict, dict, features.WindowSpec]:
+    """pipeline.json as written, its fields as read back, and the window geometry in it,
+    its stride replaced by stride_s when given."""
     path = artifacts / PIPELINE_FILE
     doc = read_json(path)
     fields = read_fields(doc, PIPELINE_FIELDS, str(path))
@@ -70,23 +66,33 @@ def _read_pipeline(artifacts: Path) -> tuple[dict, dict, features.WindowSpec]:
         spec = features.WindowSpec(window_s=fields["window_s"], stride_s=fields["stride_s"])
     except DataError as exc:
         raise ArtifactError(f"{path}: {exc}") from None
+    if stride_s is not None:
+        spec = replace(spec, stride_s=stride_s)
     return doc, fields, spec
+
+
+def _load_scaler(artifacts: Path, variant: str) -> features.MinMaxScaler:
+    """scaler.json, refused unless it is of the model's variant."""
+    scaler = features.MinMaxScaler.load(artifacts / SCALER_FILE)
+    if variant != scaler.variant:
+        raise ArtifactError(f"model variant {variant!r} does not match scaler "
+                            f"{scaler.variant!r}")
+    return scaler
+
+
+def _check_width(model: net.AutoencoderModel, scaler: features.MinMaxScaler) -> None:
+    if model.input_dim != len(scaler):
+        raise ArtifactError(f"model expects {model.input_dim} features but scaler has "
+                            f"{len(scaler)}")
 
 
 def _load_bundle(artifacts: Path, stride_s: float | None):
     """load_bundle's (model, scaler, spec), then pipeline.json as written and its fields
     as read back, each file read once."""
     model = net.load_model(artifacts / MODEL_FILE)
-    scaler = features.MinMaxScaler.load(artifacts / SCALER_FILE)
-    if model.variant != scaler.variant:
-        raise ArtifactError(f"model variant {model.variant!r} does not match scaler "
-                            f"{scaler.variant!r}")
-    if model.input_dim != len(scaler):
-        raise ArtifactError(f"model expects {model.input_dim} features but scaler has "
-                            f"{len(scaler)}")
-    pipeline, fields, spec = _read_pipeline(artifacts)
-    if stride_s is not None:
-        spec = replace(spec, stride_s=stride_s)
+    scaler = _load_scaler(artifacts, model.variant)
+    _check_width(model, scaler)
+    pipeline, fields, spec = _read_pipeline(artifacts, stride_s)
     return model, scaler, spec, pipeline, fields
 
 
@@ -202,8 +208,7 @@ def calibrate_pipeline(data, artifacts, percentile: float = 99.9,
     except ArtifactError:
         fresh = True
     if fresh:
-        X, start_t, sol = _featurize(data, spec, model.variant)
-        X = scaler.transform(X)  # the raw features are freed here, before scoring
+        X, start_t, sol = _featurize(data, spec, model.variant, scaler)
         scores, _ = detect.score_matrix(model, X)
     # too few scores raises here, before any file is written
     threshold = detect.calibrate(scores, percentile)
@@ -228,16 +233,28 @@ def detect_pipeline(data, artifacts, percentile: float | None = None,
     record vouches for it under the model and scaler in the directory.
     """
     artifacts = Path(artifacts)
-    model, scaler, spec, _, fields = _load_bundle(artifacts, stride_s)
-    threshold = detect.Threshold.load(artifacts / THRESHOLD_FILE)
-    record, inputs = fields["calibration"], _record_inputs(model, artifacts)
-    if percentile in (None, threshold.percentile):
-        _vouched(artifacts, THRESHOLD_FILE, lambda path: threshold, record, inputs)  # parsed
-    else:
-        scores = _vouched(artifacts, CALIBRATION_SCORES_FILE, _read_scores, record, inputs)
-        threshold = detect.calibrate(scores, percentile)
-    X, start_t, sol = _featurize(data, spec, model.variant)
-    X = scaler.transform(X)
+    # featurize_csv's children need only the variant, the scaler and the geometry; the
+    # rest is read and checked here while they work. The width check waits for the
+    # parameters, so that an edited dims is named by their checks, as in load_bundle.
+    doc = net.read_model_fields(artifacts / MODEL_FILE)
+    scaler = _load_scaler(artifacts, doc["variant"])
+    _, fields, spec = _read_pipeline(artifacts, stride_s)
+    checked = {}
+
+    def verify() -> None:
+        model = net.load_model_params(artifacts / MODEL_FILE, doc)
+        _check_width(model, scaler)
+        threshold = detect.Threshold.load(artifacts / THRESHOLD_FILE)
+        record, inputs = fields["calibration"], _record_inputs(model, artifacts)
+        if percentile in (None, threshold.percentile):
+            _vouched(artifacts, THRESHOLD_FILE, lambda path: threshold, record, inputs)  # parsed
+        else:
+            scores = _vouched(artifacts, CALIBRATION_SCORES_FILE, _read_scores, record, inputs)
+            threshold = detect.calibrate(scores, percentile)
+        checked.update(model=model, threshold=threshold)
+
+    X, start_t, sol = _featurize(data, spec, doc["variant"], scaler, verify)
+    model, threshold = checked["model"], checked["threshold"]
     scores, E = detect.score_matrix(model, X)
     records = detect.flag(scores, E, start_t, sol, threshold, model.variant)
     detect.write_report_csv(records, artifacts / REPORT_CSV)

@@ -192,8 +192,10 @@ def read_table(path: str | Path, header: tuple[str, ...]) -> np.ndarray:
     return table
 
 
-#: Bytes per read of the line count.
-_READ_CHUNK = 1 << 20
+#: Bytes per read of the line count. A read and its newline mask stay in a core's L2
+#: cache: the 40 drives of bench detect's queue (125 MB) counted in 15 ms at 256 KiB
+#: against 37 ms at 1 MiB.
+_READ_CHUNK = 1 << 18
 
 
 class _Body:
@@ -243,11 +245,15 @@ class _Body:
 def _count_lines(fh) -> tuple[int, list[int]]:
     """Lines from fh's position to its end, read _READ_CHUNK bytes at a time, and the
     newlines in each read; the last line counts without its line ending."""
-    newlines, last = [], b"\n"
-    while chunk := fh.read(_READ_CHUNK):
-        newlines.append(int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))))
-        last = chunk[-1:]
-    return sum(newlines) + (last != b"\n"), newlines
+    # every read lands in the same two buffers, so the count makes no fresh pages; no
+    # mmap, which would kill the process with SIGBUS if the file shrank under it
+    chunk, is_newline = np.empty(_READ_CHUNK, np.uint8), np.empty(_READ_CHUNK, bool)
+    newlines, last = [], ord("\n")
+    while size := fh.readinto(chunk):
+        newlines.append(int(np.count_nonzero(
+            np.equal(chunk[:size], ord("\n"), out=is_newline[:size]))))
+        last = chunk[size - 1]
+    return sum(newlines) + (last != ord("\n")), newlines
 
 
 def _parse_rows(source) -> np.ndarray:

@@ -854,3 +854,81 @@ def test_overflowing_telemetry_exits_3(tmp_path, data_dir, trained_dir, capsys, 
     err = capsys.readouterr().err
     assert f"{path}: window 9 " in err and "non-finite std(C[LF])" in err
     assert "Warning" not in err
+
+
+# -- detect verifies the model and threshold while its children featurize ------
+
+def _drive_with_bad_row(tmp_path, row):
+    """A 2 x FORK_MIN_ROWS-frame drive, which forks one child, with an unparsable cell
+    in data row `row`."""
+    path = tmp_path / "drive.csv"
+    write_stream(make_stream(2 * FORK_MIN_ROWS, seed=5), path)
+    lines = path.read_text().split("\n")
+    lines[1 + row] = lines[1 + row].replace(",", ",x", 1)
+    path.write_text("\n".join(lines))
+    return path
+
+
+def _flip_params_byte(art, other_seed_dir):
+    raw = (art / "model.params").read_bytes()
+    (art / "model.params").write_bytes(raw[:100] + bytes([raw[100] ^ 0x01]) + raw[101:])
+
+
+@pytest.mark.parametrize("row", [100, 2 * FORK_MIN_ROWS - 100], ids=["parent", "child"])
+@pytest.mark.parametrize("change,named", [
+    (_flip_params_byte, "model.params: SHA-256 does not match"),
+    (_edit_threshold, "threshold.json is missing or is not the file"),
+], ids=["damaged-params", "stale-threshold"])
+def test_detect_artifact_fault_before_bad_row(tmp_path, trained_dir, four_cpus, capsys, row,
+                                              change, named):
+    """A damaged model.params or a stale threshold.json, checked while the children
+    featurize, exits 4 naming the artifact before a bad row in the parent's or a child's
+    rows is found, and leaves no child behind."""
+    art = tmp_path / "art"
+    shutil.copytree(trained_dir, art, ignore=shutil.ignore_patterns("report.*", "scores.csv"))
+    change(art, None)
+    path = _drive_with_bad_row(tmp_path, row)
+    four_cpus.clear()
+    assert run("detect", "--data", path, "--artifacts", art) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("drivemon: artifact error: ") and named in err
+    assert "unparsable" not in err and "Traceback" not in err and err.count("\n") == 1
+    assert len(four_cpus) == 1
+    assert not (art / "report.json").exists()
+    assert run("detect", "--data", path, "--artifacts", trained_dir) == 3  # the row is bad
+    assert f"{path}: unparsable cell at row {row}" in capsys.readouterr().err
+
+
+def test_detect_scaler_variant_mismatch_exits_4_before_any_fork(tmp_path, trained_dir, four_cpus,
+                                                                 capsys):
+    """A scaler of another variant is refused before the drive is opened: exit 4, and
+    nothing forks, though the drive has a bad row."""
+    art = tmp_path / "art"
+    shutil.copytree(trained_dir, art, ignore=shutil.ignore_patterns("report.*", "scores.csv"))
+    rng = np.random.default_rng(0)
+    fit_scaler(rng.random((5, 301)), variant="refined").save(art / "scaler.json")
+    path = _drive_with_bad_row(tmp_path, 100)
+    four_cpus.clear()
+    assert run("detect", "--data", path, "--artifacts", art) == 4
+    err = capsys.readouterr().err
+    assert err == "drivemon: artifact error: model variant 'prime' does not match scaler " \
+                  "'refined'\n"
+    assert four_cpus == []
+
+
+def test_detect_percentile_with_too_few_scores_exits_3(tmp_path, four_cpus, capsys):
+    """detect --percentile 99.9 over 57 vouched calibration scores exits 3 with
+    calibrate's message, which the forked featurize does not take for a row fault."""
+    train, art = tmp_path / "train.csv", tmp_path / "art"
+    write_stream(make_stream(480, seed=8), train)
+    assert run("train", "--data", train, "--artifacts", art, "--epochs", 1) == 0
+    assert run("calibrate", "--data", train, "--artifacts", art, "--percentile", 50) == 0
+    path = tmp_path / "drive.csv"
+    write_stream(make_stream(2 * FORK_MIN_ROWS, seed=5), path)
+    capsys.readouterr()
+    four_cpus.clear()
+    assert run("detect", "--data", path, "--artifacts", art, "--percentile", 99.9) == 3
+    assert capsys.readouterr().err == ("drivemon: error: calibration at percentile 99.9 "
+                                       "requires >= 100 scores; got 57\n")
+    assert len(four_cpus) == 1
+    assert not (art / "report.json").exists()

@@ -245,12 +245,20 @@ def test_contributor_order_and_floor():
 
 
 def test_contributor_magnitudes_bounded_by_score(rng):
+    """Residuals concentrated in 1 to 3 features, each at least 10 % of the score: the
+    reported magnitudes are those residuals' |e_i| exactly, and sum to about the score,
+    so reporting any of them doubled would pass it."""
+    names = feature_mask("refined").names()
     for _ in range(25):
-        e = rng.standard_normal(301)
+        e = rng.standard_normal(301) * 1e-6
+        k = rng.integers(1, 4)
+        signs = rng.choice([-1.0, 1.0], k)
+        e[rng.choice(301, k, replace=False)] = signs * rng.uniform(0.5, 2.0, k)
         a = np.abs(e).sum()
         picks = flagged_contributors(e, a, "refined")
-        assert sum(m for _, m in picks) <= a + 1e-12
-        assert all(m >= 0 for _, m in picks)
+        assert len(picks) == k
+        assert all(m == abs(e[names.index(name)]) for name, m in picks)
+        assert a - 1e-3 < sum(m for _, m in picks) <= a + 1e-12
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False),

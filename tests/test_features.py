@@ -597,3 +597,80 @@ def test_one_process_maps_no_shared_memory(tmp_path, monkeypatch, four_cpus, n):
     assert got[0].shape == (max(0, (n - 32) // 8 + 1), N_PRIME_FEATURES)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# -- featurize_csv scales each process's rows in the round -------------------
+
+def _scaler_with_constants(X):
+    """A scaler fitted to X with every tenth feature made constant."""
+    min_, max_ = X.min(axis=0), X.max(axis=0)
+    max_[::10] = min_[::10]
+    return MinMaxScaler("prime", min_, max_)
+
+
+@pytest.mark.parametrize("processes", ["forked", "one"])
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_featurize_csv_scales_as_transform(tmp_path, monkeypatch, four_cpus, processes, blocks,
+                                           extra):
+    """Drives of FORK_MIN_ROWS * j + {-1, 0, 1} frames: X scaled in the round, constant
+    features included, is bit for bit transform's scaling of the unscaled X."""
+    n = FORK_MIN_ROWS * blocks + extra
+    path = tmp_path / "s.csv"
+    write_stream(make_stream(n, seed=n), path)
+    spec, mask = WindowSpec(), feature_mask("prime")
+    with monkeypatch.context() as m:
+        if processes == "one":
+            m.delattr(os, "fork")
+        raw = featurize_csv(path, spec, mask)
+        scaler = _scaler_with_constants(raw[0][::2])  # so that some rows leave [0, 1]
+        four_cpus.clear()
+        scaled = featurize_csv(path, spec, mask, scaler)
+    assert len(four_cpus) == (max(1, n // FORK_MIN_ROWS) - 1 if processes == "forked" else 0)
+    assert scaler.constant_features and len(scaled[0]) > 0
+    want = scaler.transform(raw[0])
+    assert scaled[0].tobytes() == want.tobytes()
+    assert not np.array_equal(want, raw[0])
+    for got, expected in zip(scaled[1:], raw[1:]):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_transform_writes_into_out():
+    """transform(x, out=x) scales x in place with transform's bits."""
+    x = np.array([[0.0, 5.0, 2.0], [4.0, 5.0, -1.0], [1.0, 5.0, 3.5]])
+    scaler = fit_scaler(x[:2], variant="custom")
+    want = scaler.transform(x)
+    assert scaler.transform(x, out=x) is x
+    assert x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("processes", ["forked", "one"])
+@pytest.mark.parametrize("row", [100, 2 * FORK_MIN_ROWS - 100], ids=["parent", "child"])
+def test_featurize_csv_names_the_first_overflowing_window(tmp_path, monkeypatch, four_cpus,
+                                                          processes, row):
+    """Telemetry that overflows the derived power in the parent's windows or in a child's
+    is a DataError naming the file, its first non-finite window and feature, as the
+    features of read_stream's stream show them."""
+    path = tmp_path / "s.csv"
+    write_stream(make_stream(2 * FORK_MIN_ROWS, seed=21), path)
+    lines = path.read_text().split("\n")
+    cells = lines[1 + row].split(",")
+    for column in ("current_LF", "voltage_LF"):
+        cells[CSV_HEADER.index(column)] = "1e200"
+    lines[1 + row] = ",".join(cells)
+    path.write_text("\n".join(lines))
+    spec, mask = WindowSpec(), feature_mask("prime")
+    with np.errstate(over="ignore", invalid="ignore"):
+        X, start_t, _ = _one_process(path, monkeypatch)
+    window, feature = divmod(int(np.flatnonzero(~np.isfinite(X))[0]), X.shape[1])
+    assert window == (row - spec.window_frames) // spec.stride_frames + 1
+    scaler = _scaler_with_constants(np.delete(X, np.flatnonzero(~np.isfinite(X).all(1)), 0))
+    with monkeypatch.context() as m:
+        if processes == "one":
+            m.delattr(os, "fork")
+        four_cpus.clear()
+        with pytest.raises(DataError) as exc:
+            featurize_csv(str(path), spec, mask, scaler)
+    assert len(four_cpus) == (processes == "forked")
+    assert str(exc.value) == (f"{path}: window {window} (start_t {float(start_t[window])}) has "
+                              f"non-finite {mask.names()[feature]}; the telemetry overflows")

@@ -2,6 +2,7 @@
 and calibrate's reuse of the scores that train stored."""
 
 import json
+import os
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -60,6 +61,28 @@ def test_featurize_never_holds_the_derived_stream(tmp_path, four_cpus):
                                               f"{X.nbytes / 1e6:.2f} MB X")
 
 
+def test_detect_scales_the_features_where_they_were_made(tmp_path, monkeypatch):
+    """detect scales X in place, in featurize_csv's round: an 1 800 s drive at a
+    one-frame stride, in one process so that X lies on the traced heap, peaks under
+    1.75x its 37 MB X (1.41x measured, the scoring buffers beside X). A second X-sized
+    array for the scaled features would take it past 2x (2.07x measured)."""
+    data = tmp_path / "drive.csv"
+    dm.write_stream(generate_nominal(NominalProfile(duration_s=1800.0), 6), data)
+    art = tmp_path / "art"
+    dm.fit_pipeline(data, art, "prime", dm.TrainConfig(rng_seed=1, epochs=1))
+    dm.calibrate_pipeline(data, art)
+    monkeypatch.delattr(os, "fork")
+    tracemalloc.start()
+    try:
+        _, scores, _ = dm.detect_pipeline(data, art, stride_s=0.125)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    x_nbytes = len(scores) * features.N_PRIME_FEATURES * 8
+    assert len(scores) == 14369
+    assert peak < 1.75 * x_nbytes, f"peak {peak / 1e6:.1f} MB for a {x_nbytes / 1e6:.1f} MB X"
+
+
 # -- calibrate reuses train's scores only under a matching record ------------
 
 CALIBRATION_OUTPUTS = ("threshold.json", "calibration_scores.csv")
@@ -85,9 +108,9 @@ def counted_reads(monkeypatch):
     calls = []
     featurize_csv = features.featurize_csv
 
-    def counting(path, spec, mask):
+    def counting(path, *args):
         calls.append(path)
-        return featurize_csv(path, spec, mask)
+        return featurize_csv(path, *args)
 
     monkeypatch.setattr(features, "featurize_csv", counting)
     return calls

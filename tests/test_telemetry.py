@@ -574,3 +574,52 @@ def test_read_without_fork_is_one_process(tmp_path, monkeypatch, four_cpus, miss
     single = telemetry.read_table(path, CSV_HEADER)
     assert four_cpus == []
     assert forked.tobytes() == single.tobytes()
+
+
+# -- _Body's line count, read into one reused buffer --------------------------
+
+def _sized_body(size: int, eol: bytes = b"\n", final_eol: bool = True) -> bytes:
+    """A two-column body of `size` bytes: lines "1.5,2.5", the last "2.5,1.5", the
+    first padded with zeros to make up the size."""
+    line = b"1.5,2.5" + eol
+    count = size // len(line)
+    lines = [line] * count
+    lines[-1] = b"2.5,1.5" + eol
+    body = b"".join(lines)
+    if not final_eol:
+        body = body[:-len(eol)]
+    short = size - len(body)
+    assert 0 <= short < len(line) + len(eol)
+    return b"1.5" + b"0" * short + body[3:]
+
+
+CHUNK = telemetry._READ_CHUNK
+
+
+@pytest.mark.parametrize("size,eol,final_eol,lines", [
+    (0, b"\n", True, 0),
+    (CHUNK, b"\n", True, CHUNK // 8),
+    (CHUNK + 1, b"\n", True, CHUNK // 8),
+    (CHUNK + 1, b"\r\n", True, (CHUNK + 1) // 9),
+    (CHUNK + 1, b"\n", False, CHUNK // 8),
+    (4 * CHUNK - 3, b"\r\n", False, (4 * CHUNK - 3) // 9),
+    (1 << 20, b"\n", True, (1 << 20) // 8),
+    ((1 << 20) + 1, b"\n", True, (1 << 20) // 8),
+], ids=["header-only", "one-read", "one-read-plus-1", "crlf", "no-final-newline",
+        "crlf-no-final-newline", "1-MiB", "1-MiB-plus-1"])
+def test_body_line_count_edges(tmp_path, size, eol, final_eol, lines):
+    """Bodies of exactly one read of the line count (or 1 MiB) and one byte more, with
+    CRLF line endings or no final newline, count their lines, and give their first and last
+    rows, as loadtxt reads them; a header with no body has no lines."""
+    body = _sized_body(size, eol, final_eol) if size else b""
+    assert len(body) == size
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b" + eol + body)
+    parsed = telemetry._Body(path, ("a", "b"))
+    assert parsed.lines == lines
+    if lines:
+        want = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert want.shape == (lines, 2)
+        assert parsed.parse(0, 1).tobytes() == want[:1].tobytes()
+        assert parsed.parse(lines - 1, lines).tobytes() == want[-1:].tobytes()
+        assert parsed.parse(0, lines).tobytes() == want.tobytes()
