@@ -35,7 +35,7 @@ REFINED_EXCLUDED_CHANNELS = ("accel_X", "accel_Y", "accel_Z")
 N_PRIME_FEATURES = len(DERIVED_CHANNELS) * len(STATS)  # 322
 N_REFINED_FEATURES = N_PRIME_FEATURES - len(REFINED_EXCLUDED_CHANNELS) * len(STATS)  # 301
 
-#: Windows per _stats_block call in feature_matrix. Its temporaries are sized
+#: Windows per _stats_block call in _featurize_windows. Its temporaries are sized
 #: for one block, not for the drive, and each window's arithmetic is the same.
 STATS_BLOCK_WINDOWS = 64
 
@@ -216,19 +216,11 @@ def feature_matrix(
     holds the masked statistics of the window starting at start_t[i]. Handed
     raw telemetry, it derives each block's frames as it reaches them, so the
     drive's 46 derived channels are never held whole; X has the same bits.
-    The windows are cut into one run of whole blocks per process (`block_bounds`
-    over the stream's frames), each writing its rows of X.
     """
     starts = _window_starts(len(stream), spec)
-    bounds = block_bounds(len(starts), len(stream), STATS_BLOCK_WINDOWS)
-    X = block_empty((len(starts), len(mask)), bounds)
+    X = np.empty((len(starts), len(mask)))
     raw = isinstance(stream, TelemetryStream)
-
-    def featurize(first: int, last: int) -> None:
-        frames = stream.values[first * spec.stride_frames:]
-        _featurize_windows(frames, raw, X, first, last, spec, mask)
-
-    run_blocks(bounds, [(named("featurizer of windows"), featurize)])
+    _featurize_windows(stream.values, raw, X, 0, len(starts), spec, mask)
     return X, stream.t[starts], stream.sol[starts]
 
 

@@ -1,10 +1,9 @@
 """One contiguous block of rows per CPU: the first in this process, each later one
 in a forked child that writes its results where this process can read them.
 
-`write_stream`, `read_table`, `feature_matrix` and `featurize_csv` share this
-helper. A child runs only the caller's per-block phases, calls no BLAS and ends
-with `os._exit`, so it never returns into the caller or flushes the parent's
-buffers.
+`write_stream` and `featurize_csv` share this helper. A child runs only the
+caller's per-block phases, calls no BLAS and ends with `os._exit`, so it never
+returns into the caller or flushes the parent's buffers.
 """
 
 from __future__ import annotations
@@ -19,12 +18,12 @@ import numpy as np
 
 from .errors import DataError
 
-#: Fewest frames (or table rows) a forked process is handed. Forking and joining a
-#: child costs a detect-sized process 2-4 ms, and 1 024 frames take about 5 ms to
-#: parse, 2 ms to featurize and 13 ms to format; one fork round pays for both the
-#: parse and the featurize. On 2 CPUs, a pass of bench detect's 40 drives through
-#: featurize_csv took 1.17 s at 2 048 and 1.08 s at 1 024, where every drive of at
-#: least 2 048 frames splits; 512, which splits all 40, gained another 1 %.
+#: Fewest frames a forked process is handed. Forking and joining a child costs a
+#: detect-sized process 2-4 ms, and 1 024 frames take about 5 ms to parse, 2 ms to
+#: featurize and 13 ms to format; one fork round pays for both the parse and the
+#: featurize. On 2 CPUs, a pass of bench detect's 40 drives through featurize_csv
+#: took 1.17 s at 2 048 and 1.08 s at 1 024, where every drive of at least 2 048
+#: frames splits; 512, which splits all 40, gained another 1 %.
 FORK_MIN_ROWS = 1024
 
 # a child's exit status: its block is done, it raised DataError, anything else

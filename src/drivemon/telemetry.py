@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, OrderingError, SchemaError
-from .parallel import block_bounds, block_empty, named, run_blocks
+from .parallel import block_bounds, named, run_blocks
 
 SAMPLE_RATE_HZ = 8.0
 FRAME_DT_S = 1.0 / SAMPLE_RATE_HZ
@@ -168,28 +168,15 @@ def read_table(path: str | Path, header: tuple[str, ...]) -> np.ndarray:
     comma-separated numbers. Raises SchemaError for a header mismatch and
     DataError naming the first bad 0-based data row (the header is not
     counted). A header with no rows gives an empty table.
-
-    The lines are cut into one contiguous block per process (`block_bounds`); each
-    process finds its block's first line and parses the block from its own file
-    handle into the table.
     """
     path = Path(path)
     body = _Body(path, header)
     if body.lines == 0:
         return np.empty((0, len(header)))
-    bounds = block_bounds(body.lines)
-    table = block_empty((body.lines, len(header)), bounds)
-
-    def parse(lo: int, hi: int) -> None:
-        table[lo:hi] = body.parse(lo, hi)
-
     try:
-        run_blocks(bounds, [(named("reader of rows"), parse)])
+        return body.parse(0, body.lines)
     except DataError:
         raise _row_fault(path, len(header)) from None
-    except OSError as exc:
-        raise OSError(f"failed reading {path}: {exc}") from exc
-    return table
 
 
 #: Bytes per read of the line count. A read and its newline mask stay in a core's L2

@@ -12,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from drivemon import features, parallel, pipeline, telemetry
 from drivemon.derive import DerivedStream, derive_stream
+from drivemon.detect import read_scores_csv, write_scores_csv
 from drivemon.errors import ArtifactError, DataError
 from drivemon.features import (
     N_PRIME_FEATURES,
@@ -363,37 +364,6 @@ def test_scaler_json_roundtrip(tmp_path):
         MinMaxScaler.load(path)
 
 
-@pytest.mark.parametrize("stride_s", [0.125, 1.0, 2.0])
-@pytest.mark.parametrize("extra", [-1, 0, 1])
-@pytest.mark.parametrize("kind", ["raw", "derived"])
-def test_forked_feature_matrix_matches_one_process(monkeypatch, four_cpus, stride_s, extra,
-                                                   kind):
-    """Window counts at 2 * STATS_BLOCK_WINDOWS * m + extra, with enough frames for two
-    processes: each child computes whole blocks, and X is byte for byte one process's."""
-    spec = WindowSpec(stride_s=stride_s)
-    n_windows = 2 * STATS_BLOCK_WINDOWS * -(-(2 * FORK_MIN_ROWS) // (
-        2 * STATS_BLOCK_WINDOWS * spec.stride_frames)) + extra
-    raw = make_stream((n_windows - 1) * spec.stride_frames + spec.window_frames, seed=2 + extra)
-    assert len(raw) >= 2 * FORK_MIN_ROWS
-    stream = raw if kind == "raw" else derive_stream(raw)
-    mask = feature_mask("prime")
-    four_cpus.clear()
-    blocks = []  # windows per _stats_block call in this process
-    with monkeypatch.context() as m:
-        m.setattr(features, "_stats_block",
-                  lambda data, *scratch: blocks.append(len(data))
-                  or _stats_block(data, *scratch))
-        X, start_t, sol = feature_matrix(stream, spec, mask)
-    assert len(four_cpus) == 1
-    assert set(blocks) == {STATS_BLOCK_WINDOWS}
-    with monkeypatch.context() as m:
-        m.delattr(os, "fork")
-        single = feature_matrix(stream, spec, mask)
-    assert X.shape == (n_windows, N_PRIME_FEATURES)
-    assert X.tobytes() == single[0].tobytes()
-    assert start_t.tobytes() == single[1].tobytes() and sol.tobytes() == single[2].tobytes()
-
-
 @pytest.mark.parametrize("error", [MemoryError, OSError])
 def test_failed_featurizer_child_is_an_io_error(tmp_path, monkeypatch, four_cpus, error):
     """A featurize child that fails raises an OSError naming the drive and the child's
@@ -418,11 +388,9 @@ def test_failed_featurizer_child_is_an_io_error(tmp_path, monkeypatch, four_cpus
 
 # -- featurize_csv: each process parses, derives and featurizes its own rows --
 
-def _one_process(path, monkeypatch, spec=WindowSpec()):
-    """feature_matrix(read_stream(path)) with os.fork removed."""
-    with monkeypatch.context() as m:
-        m.delattr(os, "fork")
-        return feature_matrix(read_stream(path), spec, feature_mask("prime"))
+def _one_process(path, spec=WindowSpec()):
+    """feature_matrix(read_stream(path)), which runs in this process alone."""
+    return feature_matrix(read_stream(path), spec, feature_mask("prime"))
 
 
 def _assert_same_features(fused, single):
@@ -453,20 +421,30 @@ def test_featurize_csv_matches_one_process(tmp_path, monkeypatch, four_cpus, str
     assert len(four_cpus) == max(1, n // FORK_MIN_ROWS) - 1
     if four_cpus:
         assert set(blocks_here) == {STATS_BLOCK_WINDOWS}
-    _assert_same_features(fused, _one_process(path, monkeypatch, spec))
+    _assert_same_features(fused, _one_process(path, spec))
 
 
-@pytest.mark.parametrize("layout", ["crlf", "no-final-newline"])
+def _long_last_line(body: bytes) -> bytes:
+    """The body with its last line's t cell padded by zeros to longer than the rest of
+    the file, so a cut at the middle byte would land inside that line."""
+    head, last = body.rstrip(b"\n").rsplit(b"\n", 1)
+    t, rest = last.split(b",", 1)
+    return head + b"\n" + t + b"0" * len(body) + b"," + rest + b"\n"
+
+
+@pytest.mark.parametrize("layout", ["crlf", "no-final-newline", "long-last-line"])
 @pytest.mark.parametrize("n", [2 * FORK_MIN_ROWS + 1, 3 * FORK_MIN_ROWS])
-def test_featurize_csv_line_layouts(tmp_path, monkeypatch, four_cpus, layout, n):
+def test_featurize_csv_line_layouts(tmp_path, four_cpus, layout, n):
     path = tmp_path / "s.csv"
     write_stream(make_stream(n, seed=n), path)
     body = path.read_bytes()
-    path.write_bytes(body.replace(b"\n", b"\r\n") if layout == "crlf" else body[:-1])
+    path.write_bytes({"crlf": lambda b: b.replace(b"\n", b"\r\n"),
+                      "no-final-newline": lambda b: b[:-1],
+                      "long-last-line": _long_last_line}[layout](body))
     four_cpus.clear()
     fused = featurize_csv(path, WindowSpec(), feature_mask("prime"))
     assert len(four_cpus) == n // FORK_MIN_ROWS - 1
-    _assert_same_features(fused, _one_process(path, monkeypatch))
+    _assert_same_features(fused, _one_process(path))
 
 
 #: Faults in one data line's cells, each named by its row in the error.
@@ -494,26 +472,25 @@ def _drive_with_faults(tmp_path, faults):
 
 
 @pytest.mark.parametrize("fault", LINE_FAULTS)
-@pytest.mark.parametrize("row", [100, FORK_MIN_ROWS - 1, FORK_MIN_ROWS, FORK_MIN_ROWS + 23,
-                                 FORK_MIN_ROWS + 24, 2 * FORK_MIN_ROWS - 1],
+@pytest.mark.parametrize("rows", [[100], [FORK_MIN_ROWS - 1], [FORK_MIN_ROWS],
+                                  [FORK_MIN_ROWS + 23], [FORK_MIN_ROWS + 24],
+                                  [2 * FORK_MIN_ROWS - 1], [100, FORK_MIN_ROWS + 100]],
                          ids=["parent", "parent-last", "overlap-first", "overlap-last",
-                              "child", "child-last"])
-def test_featurize_csv_fault_is_one_process_error(tmp_path, monkeypatch, four_cpus, fault,
-                                                  row):
-    """A fault in the parent's rows, in the overlap rows that both processes parse, or in
-    the child's rows gives the error read_stream gives in one process."""
-    path = _drive_with_faults(tmp_path, {row: fault})
+                              "child", "child-last", "parent-and-child"])
+def test_featurize_csv_fault_is_one_process_error(tmp_path, four_cpus, fault, rows):
+    """A fault in the parent's rows, in the overlap rows that both processes parse, in
+    the child's rows, or in both processes' gives the error read_stream gives, naming
+    the first faulty row."""
+    path = _drive_with_faults(tmp_path, dict.fromkeys(rows, fault))
     four_cpus.clear()
     with pytest.raises(DataError) as fused:
         featurize_csv(path, WindowSpec(), feature_mask("prime"))
     assert len(four_cpus) == 1
-    with monkeypatch.context() as m:
-        m.delattr(os, "fork")
-        with pytest.raises(DataError) as single:
-            read_stream(path)
+    with pytest.raises(DataError) as single:
+        read_stream(path)
     assert type(fused.value) is type(single.value)
     assert str(fused.value) == str(single.value)
-    assert re.search(f"row {row}\\b", str(fused.value))
+    assert re.search(f"row {rows[0]}\\b", str(fused.value))
 
 
 def _fail_in_child(monkeypatch, phase, how="raise"):
@@ -583,11 +560,7 @@ def test_one_process_maps_no_shared_memory(tmp_path, monkeypatch, four_cpus, n):
     stream = make_stream(n, seed=n)
     write_stream(stream, path)
     want = feature_matrix(stream, WindowSpec(), feature_mask("prime"))
-
-    def refuse(shape):
-        raise AssertionError(f"shared memory mapped for {shape}")
-
-    monkeypatch.setattr(parallel, "shared_empty", refuse)
+    _refuse_shared_memory(monkeypatch)
     four_cpus.clear()
     table = telemetry.read_table(path, CSV_HEADER)
     assert np.array_equal(table[:, 2:], stream.values)
@@ -597,6 +570,42 @@ def test_one_process_maps_no_shared_memory(tmp_path, monkeypatch, four_cpus, n):
     assert got[0].shape == (max(0, (n - 32) // 8 + 1), N_PRIME_FEATURES)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_readers_fork_nothing(tmp_path, monkeypatch, four_cpus):
+    """Inputs long enough for three processes are read, and featurized from memory, in
+    this process alone: read_scores_csv, read_stream and feature_matrix fork nothing, map
+    no shared memory and return their input's bytes. Only featurize_csv forks a parse."""
+    n = 3 * FORK_MIN_ROWS
+    rng = np.random.default_rng(22)
+    scores, start_t = rng.exponential(size=n), np.arange(n) * 1.0
+    sol = np.full(n, 1000, dtype=np.int64)
+    write_scores_csv(tmp_path / "scores.csv", scores, start_t, sol)
+    stream = make_stream(n, seed=22)
+    write_stream(stream, tmp_path / "s.csv")
+    spec, mask = WindowSpec(), feature_mask("prime")
+    four_cpus.clear()
+    want = featurize_csv(tmp_path / "s.csv", spec, mask)
+    assert len(four_cpus) == 2
+    _refuse_shared_memory(monkeypatch)
+    four_cpus.clear()
+    got = read_scores_csv(tmp_path / "scores.csv")
+    for a, b in zip(got, (scores, start_t, sol)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    read = read_stream(tmp_path / "s.csv")
+    for name in ("t", "sol", "values"):
+        assert getattr(read, name).tobytes() == getattr(stream, name).tobytes()
+    for a, b in zip(feature_matrix(read, spec, mask), want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert four_cpus == []
+
+
+def _refuse_shared_memory(monkeypatch):
+    """Make parallel.shared_empty fail the test: any shared memory mapped is a fork's."""
+    def refuse(shape):
+        raise AssertionError(f"shared memory mapped for {shape}")
+
+    monkeypatch.setattr(parallel, "shared_empty", refuse)
 
 
 # -- featurize_csv scales each process's rows in the round -------------------
@@ -661,7 +670,7 @@ def test_featurize_csv_names_the_first_overflowing_window(tmp_path, monkeypatch,
     path.write_text("\n".join(lines))
     spec, mask = WindowSpec(), feature_mask("prime")
     with np.errstate(over="ignore", invalid="ignore"):
-        X, start_t, _ = _one_process(path, monkeypatch)
+        X, start_t, _ = _one_process(path)
     window, feature = divmod(int(np.flatnonzero(~np.isfinite(X))[0]), X.shape[1])
     assert window == (row - spec.window_frames) // spec.stride_frames + 1
     scaler = _scaler_with_constants(np.delete(X, np.flatnonzero(~np.isfinite(X).all(1)), 0))

@@ -444,138 +444,6 @@ def test_interrupted_write_kills_its_children(tmp_path, monkeypatch, four_cpus):
     assert list(tmp_path.iterdir()) == []
 
 
-def _read_both(path, monkeypatch, forks, expect_forks):
-    """read_table's table of path with forks, then with os.fork removed; asserts the
-    forked read used expect_forks children and left none behind."""
-    forks.clear()
-    forked = telemetry.read_table(path, CSV_HEADER)
-    assert len(forks) == expect_forks
-    _assert_no_children_left()
-    with monkeypatch.context() as m:
-        m.delattr(os, "fork")
-        single = telemetry.read_table(path, CSV_HEADER)
-    return forked, single
-
-
-@pytest.mark.parametrize("blocks", [1, 2, 3])
-@pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_forked_read_matches_one_process(tmp_path, monkeypatch, four_cpus, blocks, extra):
-    """Each block of at least FORK_MIN_ROWS lines is parsed by its own process, and
-    the table is byte for byte what one process parses."""
-    n = FORK_MIN_ROWS * blocks + extra
-    path = tmp_path / "s.csv"
-    write_stream(make_stream(n, seed=blocks), path)
-    forked, single = _read_both(path, monkeypatch, four_cpus, max(1, n // FORK_MIN_ROWS) - 1)
-    assert forked.shape == (n, len(CSV_HEADER))
-    assert forked.tobytes() == single.tobytes()
-
-
-def _long_last_line(body: bytes) -> bytes:
-    """The body with its last line's t cell padded by zeros to longer than the rest of
-    the file, so a cut at the middle byte would land inside that line."""
-    head, last = body.rstrip(b"\n").rsplit(b"\n", 1)
-    t, rest = last.split(b",", 1)
-    return head + b"\n" + t + b"0" * len(body) + b"," + rest + b"\n"
-
-
-@pytest.mark.parametrize("layout", ["crlf", "no-final-newline", "long-last-line"])
-@pytest.mark.parametrize("n", [2 * FORK_MIN_ROWS + 1, 3 * FORK_MIN_ROWS])
-def test_forked_read_line_layouts(tmp_path, monkeypatch, four_cpus, layout, n):
-    path = tmp_path / "s.csv"
-    write_stream(make_stream(n, seed=n), path)
-    body = path.read_bytes()
-    path.write_bytes({"crlf": lambda b: b.replace(b"\n", b"\r\n"),
-                      "no-final-newline": lambda b: b[:-1],
-                      "long-last-line": _long_last_line}[layout](body))
-    forked, single = _read_both(path, monkeypatch, four_cpus, n // FORK_MIN_ROWS - 1)
-    assert forked.tobytes() == single.tobytes()
-    assert np.array_equal(forked[:, 2:], make_stream(n, seed=n).values)
-
-
-@pytest.mark.parametrize("fault", ["bad-cell", "blank", "short"])
-@pytest.mark.parametrize("rows", [[100], [FORK_MIN_ROWS + 100], [FORK_MIN_ROWS - 1],
-                                  [FORK_MIN_ROWS, 100], [2 * FORK_MIN_ROWS - 1]])
-def test_forked_read_fault_names_the_same_row(tmp_path, monkeypatch, four_cpus, fault, rows):
-    """A fault in either block, at its edges or in both, names the first bad row, as
-    one process does."""
-    path = tmp_path / "s.csv"
-    write_stream(make_stream(2 * FORK_MIN_ROWS, seed=9), path)
-    lines = path.read_text().split("\n")
-    for row in rows:
-        cells = lines[1 + row].split(",")
-        lines[1 + row] = {"bad-cell": ",".join(cells[:-1] + ["x"]),
-                          "short": ",".join(cells[:-1]), "blank": ""}[fault]
-    path.write_text("\n".join(lines))
-    four_cpus.clear()
-    messages = []
-    for fork in (True, False):
-        with monkeypatch.context() as m:
-            if not fork:
-                m.delattr(os, "fork")
-            with pytest.raises(DataError) as exc:
-                read_stream(path)
-        messages.append(str(exc.value))
-    assert len(four_cpus) == 1
-    assert messages[0] == messages[1]
-    assert f"row {min(rows)} " in messages[0] or messages[0].endswith(f"row {min(rows)}")
-
-
-@pytest.mark.parametrize("error", [MemoryError, OSError])
-def test_failed_reader_child_is_an_io_error(tmp_path, monkeypatch, four_cpus, error):
-    """A child that fails for any reason but a bad row raises an OSError naming the
-    file and its rows, never a DataError that blames a row."""
-    path = tmp_path / "s.csv"
-    write_stream(make_stream(2 * FORK_MIN_ROWS, seed=10), path)
-    parent, parse_rows = os.getpid(), telemetry._parse_rows
-
-    def failing(source):
-        if os.getpid() != parent:
-            raise error("injected")
-        return parse_rows(source)
-
-    monkeypatch.setattr(telemetry, "_parse_rows", failing)
-    with pytest.raises(OSError, match=re.escape(
-            f"failed reading {path}: reader of rows {FORK_MIN_ROWS}-{2 * FORK_MIN_ROWS - 1} "
-            "exited with status 1")):
-        read_stream(path)
-    _assert_no_children_left()
-
-
-def test_interrupted_read_kills_its_children(tmp_path, monkeypatch, four_cpus):
-    """Ctrl-C in this process kills and reaps every reader child at once."""
-    path = tmp_path / "s.csv"
-    write_stream(make_stream(4 * FORK_MIN_ROWS, seed=11), path)
-    four_cpus.clear()
-    parent = os.getpid()
-
-    def interrupted(source):
-        if os.getpid() != parent:
-            time.sleep(60)
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(telemetry, "_parse_rows", interrupted)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        read_stream(path)
-    assert time.monotonic() - start < 30
-    assert len(four_cpus) == 3
-    _assert_no_children_left()
-
-
-@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
-def test_read_without_fork_is_one_process(tmp_path, monkeypatch, four_cpus, missing):
-    path = tmp_path / "s.csv"
-    write_stream(make_stream(3 * FORK_MIN_ROWS, seed=12), path)
-    four_cpus.clear()
-    forked = telemetry.read_table(path, CSV_HEADER)
-    assert len(four_cpus) == 2
-    monkeypatch.delattr(os, missing)
-    four_cpus.clear()
-    single = telemetry.read_table(path, CSV_HEADER)
-    assert four_cpus == []
-    assert forked.tobytes() == single.tobytes()
-
-
 # -- _Body's line count, read into one reused buffer --------------------------
 
 def _sized_body(size: int, eol: bytes = b"\n", final_eol: bool = True) -> bytes:
