@@ -12,7 +12,6 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,7 +21,7 @@ from .errors import (ArtifactError, DataError, PipelineError, list_of, read_fiel
                      strict_float, strict_str)
 from .parallel import BlockDataError, BlockError, block_bounds, block_empty, named, run_blocks
 from .telemetry import (CSV_HEADER, SAMPLE_RATE_HZ, TelemetryStream, _Body, _check_frames,
-                        _row_fault, is_frame_aligned)
+                        is_frame_aligned, read_stream)
 
 #: Statistic names in canonical order. `index = channel*7 + stat` depends on it.
 STATS = ("mean", "std", "kurt", "skew", "min", "max", "median")
@@ -248,44 +247,40 @@ def _featurize_windows(frames: np.ndarray, raw: bool, X: np.ndarray, first: int,
 
 def featurize_csv(path: str | Path, spec: WindowSpec, mask: FeatureMask,
                   scaler: MinMaxScaler | None = None,
-                  meanwhile: Callable[[], None] | None = None,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """feature_matrix(read_stream(path), spec, mask), scaled by scaler when given, with
     its bits and read_stream's errors, in one fork round.
 
     The rows are cut where a run of whole STATS_BLOCK_WINDOWS blocks of windows
     starts, one run per process (`block_bounds` over the windows). Each process
-    parses its rows into the table, then featurizes its windows from the rows it
-    parsed, into X, notes its first non-finite feature and scales its rows of X
-    in place. The window_frames - stride_frames rows after its own, which its
-    last windows reach, it parses as well. meanwhile() runs in this process while
-    the children work (`run_blocks`), and before the CSV's errors are raised.
+    parses its rows and the max(window_frames - stride_frames, 1) after them:
+    those its last windows reach, and at least the next block's first, so that
+    the step into it is checked too. It then checks them as TelemetryStream
+    checks its arrays, featurizes its windows into X, notes their first t and
+    sol and its first non-finite feature, and scales its rows of X in place.
+    Only X, the window times and the first non-finite features are shared.
 
-    Once every process is done, this one checks the table in place as
-    TelemetryStream checks its arrays. A bad row is named by the line-by-line
-    diagnosis, a child that fails by its phase: "failed reading <path>: reader
-    of rows a-b ..." or "failed featurizing <path>: featurizer of windows a-b
-    ...". Last, a non-finite feature, which overflowing telemetry gives, raises
-    a DataError naming the first such window and feature.
+    Bad data in any process raises the error read_stream(path) raises, found by
+    re-reading the file; a child that fails otherwise raises an OSError naming
+    its phase: "failed reading <path>: reader of rows a-b ..." or "failed
+    featurizing <path>: featurizer of windows a-b ...". Last, a non-finite
+    feature, which overflowing telemetry gives, raises a DataError naming the
+    first such window and feature.
     """
     name, path = path, Path(path)  # the non-finite error names the file as given
-    try:
-        # transform's own check, made here: a child's error would read as a bad row
-        if scaler is not None and len(scaler) != len(mask):
-            raise DataError(f"expected {len(scaler)} features, got {len(mask)}")
-        body = _Body(path, CSV_HEADER)
-    except (PipelineError, OSError):
-        if meanwhile is not None:
-            meanwhile()
-        raise
+    # transform's own check, made here: a child's error would read as a bad row
+    if scaler is not None and len(scaler) != len(mask):
+        raise DataError(f"expected {len(scaler)} features, got {len(mask)}")
+    body = _Body(path, CSV_HEADER)
     n, w, s = body.lines, spec.window_frames, spec.stride_frames
-    starts = _window_starts(n, spec)
-    n_windows, d = len(starts), len(mask)
+    if n == 0:
+        raise _stream_fault(path)  # no process runs to find the empty stream
+    n_windows, d = len(_window_starts(n, spec)), len(mask)
     # each process's first row is the first frame of its first window
     bounds = sorted({lo * s for lo in block_bounds(n_windows, n, STATS_BLOCK_WINDOWS)[:-1]}
                     | {0, n})
-    table = block_empty((n, len(CSV_HEADER)), bounds)
     X = block_empty((n_windows, d), bounds)
+    times = block_empty((2, n_windows), bounds)  # each window's first t and sol
     # each process's first non-finite element of X, as a flat index, or inf
     first_bad = block_empty((len(bounds) - 1,), bounds)
     parsed = {}  # each block's rows and the rows after it that its windows reach
@@ -294,14 +289,16 @@ def featurize_csv(path: str | Path, spec: WindowSpec, mask: FeatureMask,
         return lo // s, n_windows if hi == n else hi // s
 
     def read(lo: int, hi: int) -> None:
-        parsed[lo] = body.parse(lo, min(n, hi + max(w - s, 0)))
-        table[lo:hi] = parsed[lo][:hi - lo]
+        parsed[lo] = body.parse(lo, min(n, hi + max(w - s, 1)))
 
     def featurize(lo: int, hi: int) -> None:
+        table = parsed.pop(lo)
+        _check_frames(table[:, 0], table[:, 1], table[:, 2:])
         first, last = windows(lo, hi)
+        times[:, first:last] = table[:(last - first) * s:s, :2].T
         rows = X[first:last]
         with np.errstate(over="ignore", invalid="ignore"):
-            _featurize_windows(parsed.pop(lo)[:, 2:], True, X, first, last, spec, mask)
+            _featurize_windows(table[:, 2:], True, X, first, last, spec, mask)
             # a finite sum needs every element finite, and costs no array
             bad = [] if np.isfinite(rows.sum()) else np.flatnonzero(~np.isfinite(rows))
         first_bad[bounds.index(lo)] = first * d + bad[0] if len(bad) else np.inf
@@ -309,31 +306,33 @@ def featurize_csv(path: str | Path, spec: WindowSpec, mask: FeatureMask,
             scaler.transform(rows, out=rows)
 
     featurizer = named("featurizer of windows")
-    failed = None
     try:
         run_blocks(bounds, [(named("reader of rows"), read),
-                            (lambda lo, hi: featurizer(*windows(lo, hi)), featurize)],
-                   meanwhile)
+                            (lambda lo, hi: featurizer(*windows(lo, hi)), featurize)])
     except BlockDataError:
-        raise _row_fault(path, len(CSV_HEADER)) from None
+        raise _stream_fault(path) from None
     except BlockError as exc:
-        failed = exc
-    # the table is whole unless a process failed while reading it
-    if failed is None or failed.phase > 0:
-        try:
-            _check_frames(table[:, 0], table[:, 1], table[:, 2:])
-        except DataError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
-    if failed is not None:
-        raise OSError(f"failed {('reading', 'featurizing')[failed.phase]} {path}: "
-                      f"{failed}") from failed
-    start_t = table[starts, 0]
+        raise OSError(f"failed {('reading', 'featurizing')[exc.phase]} {path}: "
+                      f"{exc}") from exc
+    start_t = times[0]
     bad = first_bad.min(initial=np.inf)  # the lowest process's, so the lowest window's
     if np.isfinite(bad):
         window, feature = divmod(int(bad), d)
         raise DataError(f"{name}: window {window} (start_t {float(start_t[window])}) has "
                         f"non-finite {mask.names()[feature]}; the telemetry overflows")
-    return X, start_t, table[starts, 1].astype(np.int64)
+    return X, start_t, times[1].astype(np.int64)
+
+
+def _stream_fault(path: Path) -> PipelineError:
+    """The error read_stream(path) raises, for a file in which a process found bad data.
+
+    Re-reads the whole file in this process, as _row_fault does to name a bad row.
+    """
+    try:
+        read_stream(path)
+    except PipelineError as exc:
+        return exc
+    return DataError(f"{path}: unparsable table")
 
 
 #: scaler.json: field -> how it is read back; "constant" is written for people only.

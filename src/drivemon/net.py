@@ -533,25 +533,14 @@ def load_model(path: str | Path) -> AutoencoderModel:
     its bytes must match the recorded SHA-256, kept as ``model.params_sha256``,
     before they are used.
     """
-    return load_model_params(path, read_model_fields(path))
-
-
-def read_model_fields(path: str | Path) -> dict:
-    """model.json's fields as read back (MODEL_FIELDS), its parameters not yet read."""
     path = Path(path)
+    params_path = _params_file(path)
     doc = read_json(path)
     if isinstance(doc, dict) and "params_sha256" not in doc and {"weights", "params"} & doc.keys():
         raise ArtifactError(f"{path}: parameters stored inside the JSON (nested lists or "
                             "base64) are an older model format that is no longer read; "
-                            f"retrain the model to write {_params_file(path).name}")
-    return read_fields(doc, MODEL_FIELDS, str(path))
-
-
-def load_model_params(path: str | Path, doc: dict) -> AutoencoderModel:
-    """The model of the model.json at path, whose fields read_model_fields gave as doc:
-    load_model's checks of the parameter file and of the model."""
-    path = Path(path)
-    params_path = _params_file(path)
+                            f"retrain the model to write {params_path.name}")
+    doc = read_fields(doc, MODEL_FIELDS, str(path))
     dims = doc["dims"]
     try:
         raw = params_path.read_bytes()

@@ -3,7 +3,9 @@ in a forked child that writes its results where this process can read them.
 
 `write_stream` and `featurize_csv` share this helper. A child runs only the
 caller's per-block phases, calls no BLAS and ends with `os._exit`, so it never
-returns into the caller or flushes the parent's buffers.
+returns into the caller or flushes the parent's buffers. Between the fork and
+the wait this process runs only its own block: whatever a caller must check
+that needs no block, it checks before the round.
 """
 
 from __future__ import annotations
@@ -83,24 +85,19 @@ def block_empty(shape: tuple[int, ...], bounds: list[int]) -> np.ndarray:
     return shared_empty(shape) if len(bounds) > 2 else np.empty(shape)
 
 
-def run_blocks(bounds: list[int], phases: Sequence[Phase],
-               meanwhile: Callable[[], None] | None = None) -> None:
+def run_blocks(bounds: list[int], phases: Sequence[Phase]) -> None:
     """Run every phase, in order, on every block [bounds[i], bounds[i + 1]).
 
-    Forks one child per block after the first, runs meanwhile() here when given,
-    then the first block, then waits for every child in row order. meanwhile is
-    this process's work that needs no block: it overlaps the children's, and
-    whatever it raises passes through at once, before any block's failure.
-
-    Each process runs work(lo, hi) of each phase in turn and stops at the first
-    that raises. The earliest phase that failed in any process, bad data before
-    other failures and then the lowest block, raises here: a DataError as a
-    BlockDataError, anything else as a BlockError, each naming the block by its
-    phase's name. A child marks each phase in shared memory as it starts it, so
-    one that dies, even by a signal, is named by the phase it died in. Other
-    exceptions of this process (MemoryError, Ctrl-C) pass through at once.
-    Whatever stops this process kills and reaps every child still running, so
-    none outlives the call.
+    Forks one child per block after the first, runs the first block here, then
+    waits for every child in row order. Each process runs work(lo, hi) of each
+    phase in turn and stops at the first that raises. The earliest phase that
+    failed in any process, bad data before other failures and then the lowest
+    block, raises here: a DataError as a BlockDataError, anything else as a
+    BlockError, each naming the block by its phase's name. A child marks each
+    phase in shared memory as it starts it, so one that dies, even by a signal,
+    is named by the phase it died in. Other exceptions of this process
+    (MemoryError, Ctrl-C) pass through at once. Whatever stops this process
+    kills and reaps every child still running, so none outlives the call.
     """
     blocks = list(zip(bounds[:-1], bounds[1:]))
     reached = block_empty((len(blocks),), bounds)  # the phase each process is in
@@ -110,8 +107,6 @@ def run_blocks(bounds: list[int], phases: Sequence[Phase],
     try:
         for i, (lo, hi) in enumerate(blocks[1:], 1):
             pids.append(_fork(phases, reached, i, lo, hi))
-        if meanwhile is not None:
-            meanwhile()
         if blocks:
             try:
                 _run_phases(phases, reached, 0, *blocks[0])

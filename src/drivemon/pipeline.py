@@ -30,11 +30,11 @@ CALIBRATION_SCORES_FILE = "calibration_scores.csv"
 PIPELINE_FILE = "pipeline.json"
 
 
-def _featurize(data, spec: features.WindowSpec, variant: str, scaler=None, meanwhile=None):
+def _featurize(data, spec: features.WindowSpec, variant: str, scaler=None):
     """(X, start_t, sol) of a telemetry CSV's complete windows, every feature finite, X
-    scaled by scaler when given; meanwhile() runs during featurize_csv's fork round."""
+    scaled by scaler when given."""
     mask = features.feature_mask(variant)
-    X, start_t, sol = features.featurize_csv(data, spec, mask, scaler, meanwhile)
+    X, start_t, sol = features.featurize_csv(data, spec, mask, scaler)
     if X.shape[0] == 0:
         raise DataError(f"{data}: no complete {spec.window_s} s windows in stream")
     return X, start_t, sol
@@ -71,27 +71,17 @@ def _read_pipeline(artifacts: Path, stride_s: float | None = None
     return doc, fields, spec
 
 
-def _load_scaler(artifacts: Path, variant: str) -> features.MinMaxScaler:
-    """scaler.json, refused unless it is of the model's variant."""
-    scaler = features.MinMaxScaler.load(artifacts / SCALER_FILE)
-    if variant != scaler.variant:
-        raise ArtifactError(f"model variant {variant!r} does not match scaler "
-                            f"{scaler.variant!r}")
-    return scaler
-
-
-def _check_width(model: net.AutoencoderModel, scaler: features.MinMaxScaler) -> None:
-    if model.input_dim != len(scaler):
-        raise ArtifactError(f"model expects {model.input_dim} features but scaler has "
-                            f"{len(scaler)}")
-
-
 def _load_bundle(artifacts: Path, stride_s: float | None):
     """load_bundle's (model, scaler, spec), then pipeline.json as written and its fields
     as read back, each file read once."""
     model = net.load_model(artifacts / MODEL_FILE)
-    scaler = _load_scaler(artifacts, model.variant)
-    _check_width(model, scaler)
+    scaler = features.MinMaxScaler.load(artifacts / SCALER_FILE)
+    if model.variant != scaler.variant:
+        raise ArtifactError(f"model variant {model.variant!r} does not match scaler "
+                            f"{scaler.variant!r}")
+    if model.input_dim != len(scaler):
+        raise ArtifactError(f"model expects {model.input_dim} features but scaler has "
+                            f"{len(scaler)}")
     pipeline, fields, spec = _read_pipeline(artifacts, stride_s)
     return model, scaler, spec, pipeline, fields
 
@@ -230,31 +220,19 @@ def detect_pipeline(data, artifacts, percentile: float | None = None,
 
     The run thresholds from threshold.json, or, for a new percentile, from
     calibration_scores.csv; either file is used only when pipeline.json's calibration
-    record vouches for it under the model and scaler in the directory.
+    record vouches for it under the model and scaler in the directory. Every artifact
+    is read and checked before the drive is opened, so its errors come first.
     """
     artifacts = Path(artifacts)
-    # featurize_csv's children need only the variant, the scaler and the geometry; the
-    # rest is read and checked here while they work. The width check waits for the
-    # parameters, so that an edited dims is named by their checks, as in load_bundle.
-    doc = net.read_model_fields(artifacts / MODEL_FILE)
-    scaler = _load_scaler(artifacts, doc["variant"])
-    _, fields, spec = _read_pipeline(artifacts, stride_s)
-    checked = {}
-
-    def verify() -> None:
-        model = net.load_model_params(artifacts / MODEL_FILE, doc)
-        _check_width(model, scaler)
-        threshold = detect.Threshold.load(artifacts / THRESHOLD_FILE)
-        record, inputs = fields["calibration"], _record_inputs(model, artifacts)
-        if percentile in (None, threshold.percentile):
-            _vouched(artifacts, THRESHOLD_FILE, lambda path: threshold, record, inputs)  # parsed
-        else:
-            scores = _vouched(artifacts, CALIBRATION_SCORES_FILE, _read_scores, record, inputs)
-            threshold = detect.calibrate(scores, percentile)
-        checked.update(model=model, threshold=threshold)
-
-    X, start_t, sol = _featurize(data, spec, doc["variant"], scaler, verify)
-    model, threshold = checked["model"], checked["threshold"]
+    model, scaler, spec, _, fields = _load_bundle(artifacts, stride_s)
+    threshold = detect.Threshold.load(artifacts / THRESHOLD_FILE)
+    record, inputs = fields["calibration"], _record_inputs(model, artifacts)
+    if percentile in (None, threshold.percentile):
+        _vouched(artifacts, THRESHOLD_FILE, lambda path: threshold, record, inputs)  # parsed
+    else:
+        scores = _vouched(artifacts, CALIBRATION_SCORES_FILE, _read_scores, record, inputs)
+        threshold = detect.calibrate(scores, percentile)
+    X, start_t, sol = _featurize(data, spec, model.variant, scaler)
     scores, E = detect.score_matrix(model, X)
     records = detect.flag(scores, E, start_t, sol, threshold, model.variant)
     detect.write_report_csv(records, artifacts / REPORT_CSV)

@@ -856,7 +856,7 @@ def test_overflowing_telemetry_exits_3(tmp_path, data_dir, trained_dir, capsys, 
     assert "Warning" not in err
 
 
-# -- detect verifies the model and threshold while its children featurize ------
+# -- detect checks every artifact before it opens the drive -------------------
 
 def _drive_with_bad_row(tmp_path, row):
     """A 2 x FORK_MIN_ROWS-frame drive, which forks one child, with an unparsable cell
@@ -881,9 +881,9 @@ def _flip_params_byte(art, other_seed_dir):
 ], ids=["damaged-params", "stale-threshold"])
 def test_detect_artifact_fault_before_bad_row(tmp_path, trained_dir, four_cpus, capsys, row,
                                               change, named):
-    """A damaged model.params or a stale threshold.json, checked while the children
-    featurize, exits 4 naming the artifact before a bad row in the parent's or a child's
-    rows is found, and leaves no child behind."""
+    """A damaged model.params or a stale threshold.json, checked before the drive is
+    opened, exits 4 naming the artifact before a bad row in the parent's or a child's
+    rows is found, and forks nothing."""
     art = tmp_path / "art"
     shutil.copytree(trained_dir, art, ignore=shutil.ignore_patterns("report.*", "scores.csv"))
     change(art, None)
@@ -893,7 +893,7 @@ def test_detect_artifact_fault_before_bad_row(tmp_path, trained_dir, four_cpus, 
     err = capsys.readouterr().err
     assert err.startswith("drivemon: artifact error: ") and named in err
     assert "unparsable" not in err and "Traceback" not in err and err.count("\n") == 1
-    assert len(four_cpus) == 1
+    assert four_cpus == []
     assert not (art / "report.json").exists()
     assert run("detect", "--data", path, "--artifacts", trained_dir) == 3  # the row is bad
     assert f"{path}: unparsable cell at row {row}" in capsys.readouterr().err
@@ -918,7 +918,7 @@ def test_detect_scaler_variant_mismatch_exits_4_before_any_fork(tmp_path, traine
 
 def test_detect_percentile_with_too_few_scores_exits_3(tmp_path, four_cpus, capsys):
     """detect --percentile 99.9 over 57 vouched calibration scores exits 3 with
-    calibrate's message, which the forked featurize does not take for a row fault."""
+    calibrate's message, before the drive is opened."""
     train, art = tmp_path / "train.csv", tmp_path / "art"
     write_stream(make_stream(480, seed=8), train)
     assert run("train", "--data", train, "--artifacts", art, "--epochs", 1) == 0
@@ -930,5 +930,5 @@ def test_detect_percentile_with_too_few_scores_exits_3(tmp_path, four_cpus, caps
     assert run("detect", "--data", path, "--artifacts", art, "--percentile", 99.9) == 3
     assert capsys.readouterr().err == ("drivemon: error: calibration at percentile 99.9 "
                                        "requires >= 100 scores; got 57\n")
-    assert len(four_cpus) == 1
+    assert four_cpus == []
     assert not (art / "report.json").exists()

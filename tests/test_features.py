@@ -493,6 +493,23 @@ def test_featurize_csv_fault_is_one_process_error(tmp_path, four_cpus, fault, ro
     assert re.search(f"row {rows[0]}\\b", str(fused.value))
 
 
+@pytest.mark.parametrize("row", [FORK_MIN_ROWS - 1, FORK_MIN_ROWS],
+                         ids=["parent-last", "child-first"])
+def test_featurize_csv_checks_the_step_between_blocks(tmp_path, four_cpus, row):
+    """With windows that do not overlap (window_s == stride_s), a process's windows reach
+    no row past its block, yet it parses the next block's first row: a sol that
+    decreases at either side of the cut gives the error read_stream gives."""
+    path = _drive_with_faults(tmp_path, {row: "sol-decreases"})
+    four_cpus.clear()
+    with pytest.raises(DataError) as fused:
+        featurize_csv(path, WindowSpec(window_s=1.0, stride_s=1.0), feature_mask("prime"))
+    assert len(four_cpus) == 1
+    with pytest.raises(DataError) as single:
+        read_stream(path)
+    assert type(fused.value) is type(single.value)
+    assert str(fused.value) == str(single.value) == f"{path}: sol decreases at row {row}"
+
+
 def _fail_in_child(monkeypatch, phase, how="raise"):
     """Make every forked child fail in phase ("reading" or "featurizing"): raise
     MemoryError, or be killed by SIGKILL."""
@@ -598,6 +615,21 @@ def test_readers_fork_nothing(tmp_path, monkeypatch, four_cpus):
     for a, b in zip(feature_matrix(read, spec, mask), want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert four_cpus == []
+
+
+def test_featurize_csv_maps_no_table(tmp_path, monkeypatch, four_cpus):
+    """A drive split over three processes shares X, the window times and the per-process
+    first non-finite features, never a (rows, len(CSV_HEADER)) table of the parsed CSV."""
+    path = tmp_path / "s.csv"
+    write_stream(make_stream(3 * FORK_MIN_ROWS, seed=23), path)
+    shapes, real = [], parallel.shared_empty
+    monkeypatch.setattr(parallel, "shared_empty",
+                        lambda shape: shapes.append(shape) or real(shape))
+    four_cpus.clear()
+    featurize_csv(path, WindowSpec(), feature_mask("prime"))
+    assert len(four_cpus) == 2
+    assert ((3 * FORK_MIN_ROWS - 32) // 8 + 1, N_PRIME_FEATURES) in shapes  # X
+    assert [shape for shape in shapes if shape[1:] == (len(CSV_HEADER),)] == []
 
 
 def _refuse_shared_memory(monkeypatch):

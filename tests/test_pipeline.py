@@ -44,8 +44,8 @@ def test_featurize_never_holds_the_derived_stream(tmp_path, four_cpus):
     """An 1 800 s drive (29 blocks of windows) featurizes from its raw telemetry a block
     at a time: beside X, the peak leaves no room for the (frames, 46) derived channels
     (4.5 MB measured, against X plus that array, 9.9 MB). The CPU count is pinned,
-    since the table and X lie in shared memory, which tracemalloc does not see, only
-    when the drive is split."""
+    since X lies in shared memory, which tracemalloc does not see, only when the
+    drive is split."""
     stream = generate_nominal(NominalProfile(duration_s=1800.0), 5)
     data = tmp_path / "train.csv"
     dm.write_stream(stream, data)
@@ -255,3 +255,21 @@ def test_each_stage_hashes_the_parameters_once(tmp_path, drives, monkeypatch):
         stage()
         counts[name] = sum(size >= 1 << 20 for size in sizes)
     assert counts == dict.fromkeys(stages, 1)
+
+
+def test_detect_loads_its_model_once_before_it_forks(tmp_path, drives, monkeypatch, four_cpus):
+    """detect of a drive split over two processes loads the model once, through
+    net.load_model, before its one fork: every artifact is checked before the round."""
+    art, data = tmp_path / "art", tmp_path / "drive.csv"
+    shutil.copytree(drives / "art", art)
+    dm.calibrate_pipeline(drives / "train.csv", art)
+    dm.write_stream(generate_nominal(NominalProfile(duration_s=300.0), 7), data)
+    events = []
+    load_model, fork = net.load_model, os.fork
+    monkeypatch.setattr(net, "load_model",
+                        lambda path: events.append("load_model") or load_model(path))
+    monkeypatch.setattr(os, "fork", lambda: events.append("fork") or fork())
+    four_cpus.clear()
+    dm.detect_pipeline(data, art)
+    assert len(four_cpus) == 1
+    assert events == ["load_model", "fork"]
