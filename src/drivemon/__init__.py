@@ -13,7 +13,8 @@ from .features import (FeatureId, FeatureMask, MinMaxScaler, WindowSpec, feature
                        feature_matrix, featurize_csv, fit_scaler, stats7)
 from .net import (AutoencoderModel, TrainConfig, TrainReport, adam_step, backward, build_model,
                   encode, forward, load_model, mse_loss, new_model, reconstruct, save_model, train)
-from .pipeline import calibrate_pipeline, detect_pipeline, evaluate_metrics, fit_pipeline, load_bundle
+from .pipeline import (calibrate_pipeline, detect_pipeline, evaluate_metrics, fit_pipeline,
+                       generate_dataset, load_bundle)
 from .synth import AnomalyEvent, LabeledStream, NominalProfile, generate_nominal, inject, make_dataset
 from .telemetry import SENSOR_CHANNELS, WHEELS, TelemetryStream, read_stream, write_stream
 

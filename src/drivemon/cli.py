@@ -15,7 +15,7 @@ from . import pipeline, synth
 from .errors import ArtifactError, DataError, PipelineError
 from .features import WindowSpec
 from .net import TrainConfig
-from .telemetry import SOL_LIMIT, write_stream
+from .telemetry import SOL_LIMIT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,16 +122,11 @@ def cmd_generate(args, parser: argparse.ArgumentParser) -> None:
                                    severity=args.severity)
     except DataError as exc:
         parser.error(str(exc))
-    profile = synth.NominalProfile(duration_s=args.train_s, sol=args.sol)
-    train_stream, labeled = synth.make_dataset(
-        args.train_s, args.test_s, events, args.seed, profile=profile)
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_stream(train_stream, args.out / "train.csv")
-    write_stream(labeled.stream, args.out / "test.csv")
-    synth.write_labels(labeled.events, args.out / "labels.json")
-    print(f"wrote {args.out / 'train.csv'} ({len(train_stream)} frames), "
-          f"{args.out / 'test.csv'} ({len(labeled.stream)} frames), "
-          f"{args.out / 'labels.json'} ({len(labeled.events)} events)")
+    train, labeled = pipeline.generate_dataset(args.out, events, args.seed, args.train_s,
+                                               args.test_s, sol=args.sol)
+    print(f"wrote {args.out / pipeline.TRAIN_FILE} ({len(train)} frames), "
+          f"{args.out / pipeline.TEST_FILE} ({len(labeled.stream)} frames), "
+          f"{args.out / pipeline.LABELS_FILE} ({len(labeled.events)} events)")
 
 
 def cmd_train(args, parser: argparse.ArgumentParser) -> None:

@@ -1,8 +1,10 @@
-"""Library stages over one artifact directory: fit, calibrate, detect, evaluate.
+"""Library stages, one per command: generate a dataset, then fit, calibrate, detect and
+evaluate over one artifact directory.
 
-Only this module knows the artifact file names and which artifacts must
-agree; each format is read and written by its own module (net, features,
-detect). Nothing time-dependent is written. Layer functions are
+Only this module knows the file names: the dataset's train.csv, test.csv and
+labels.json, and every artifact; and it alone knows which artifacts must agree.
+Each format is read and written by its own module (telemetry, synth, net,
+features, detect). Nothing time-dependent is written. Layer functions are
 called through their modules, so wrappers installed on them see these calls.
 """
 
@@ -14,10 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detect, features, net, synth
+from . import detect, features, net, synth, telemetry
 from .errors import (ArtifactError, DataError, nullable, object_of, read_fields, read_json,
                      sha256_hex, strict_float)
 
+TRAIN_FILE = "train.csv"
+TEST_FILE = "test.csv"
+LABELS_FILE = "labels.json"
 MODEL_FILE = "model.json"
 SCALER_FILE = "scaler.json"
 THRESHOLD_FILE = "threshold.json"
@@ -136,6 +141,21 @@ def _vouched(artifacts: Path, name: str, read, record: dict | None, inputs: dict
 
 def _read_scores(path) -> np.ndarray:
     return detect.read_scores_csv(path)[0]
+
+
+def generate_dataset(out, events: list[synth.AnomalyEvent], seed: int, train_s: float,
+                     test_s: float, sol: int = 1000):
+    """Draw a nominal training drive of train_s seconds at sol and a test drive of test_s
+    seconds at sol + 1 carrying events; write train.csv, test.csv and labels.json into
+    out, which is made first. Returns make_dataset's (train, labeled)."""
+    profile = synth.NominalProfile(duration_s=train_s, sol=sol)
+    train, labeled = synth.make_dataset(train_s, test_s, events, seed, profile=profile)
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    telemetry.write_stream(train, out / TRAIN_FILE)
+    telemetry.write_stream(labeled.stream, out / TEST_FILE)
+    synth.write_labels(labeled.events, out / LABELS_FILE)
+    return train, labeled
 
 
 def fit_pipeline(data, artifacts, variant: str, config: net.TrainConfig,

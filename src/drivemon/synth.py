@@ -298,12 +298,27 @@ def plan_events(mix: str, test_s: float, seed: int, severity: float = 1.0,
     equal slots across the usable span with seeded jitter, and assigned
     wheels round-robin.
     """
-    kinds = _parse_event_mix(mix)
+    usable = test_s - 2.0 * margin_s
+    tokens = _parse_event_mix(mix)
+    # each event needs a slot of more than 1 s, so more events than whole usable seconds
+    # never fit (a NaN or infinite span fits none); a count with more digits than that
+    # is larger, and is never parsed, so no list is built for a mix that cannot fit
+    room = max(math.floor(usable), 0) if math.isfinite(usable) else 0
+    counts = [int(digits) if len(digits) <= len(str(room)) else room + 1
+              for _, digits in tokens]
+    if sum(counts) > room:
+        raise DataError(f"more than {room} events do not fit in {test_s} s "
+                        "(each needs a slot of more than 1 s)")
+    kinds: list[str] = []
+    for (name, _), count in zip(tokens, counts):
+        if name == "mixed":
+            kinds.extend(EVENT_KINDS[i % len(EVENT_KINDS)] for i in range(count))
+        else:
+            kinds.extend([name] * count)
     if not kinds:
         return []
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5EED)))
     kinds = [kinds[i] for i in rng.permutation(len(kinds))]
-    usable = test_s - 2.0 * margin_s
     slot = usable / len(kinds)
     events = []
     wheel_cycle = 0
@@ -323,24 +338,25 @@ def plan_events(mix: str, test_s: float, seed: int, severity: float = 1.0,
     return events
 
 
-def _parse_event_mix(mix: str) -> list[str]:
+def _parse_event_mix(mix: str) -> list[tuple[str, str]]:
+    """The (kind or "mixed", count) of each token of an event-mix string, in order.
+
+    A count stays a digit string without leading zeros, so that plan_events can
+    refuse one of any length without parsing it.
+    """
     lookup = {k.lower(): k for k in EVENT_KINDS}
     mix = mix.strip().lower()
     if mix in ("", "none", "0"):
         return []
-    kinds: list[str] = []
+    tokens = []
     for token in mix.split(","):
         token = token.strip()
         name = token.rstrip("0123456789")
-        count = token[len(name):]
-        count = int(count) if count else 1
-        if name == "mixed":
-            kinds.extend(EVENT_KINDS[i % len(EVENT_KINDS)] for i in range(count))
-        elif name in lookup:
-            kinds.extend([lookup[name]] * count)
-        else:
+        if name != "mixed" and name not in lookup:
             raise DataError(f"unknown event token {token!r}")
-    return kinds
+        digits = token[len(name):]
+        tokens.append((lookup.get(name, name), digits.lstrip("0") or ("0" if digits else "1")))
+    return tokens
 
 
 #: A labels.json event: field -> how it is read back.

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from drivemon import features, telemetry
+from drivemon import features, synth, telemetry
 from drivemon.cli import main
 from drivemon.detect import Threshold, read_scores_csv
 from drivemon.features import MinMaxScaler, fit_scaler
@@ -114,6 +114,38 @@ def test_generate_non_finite_flag_is_a_usage_error(tmp_path, capsys, flag, value
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("digits", [20, 5000], ids=["20-digit", "5000-digit"])
+def test_generate_event_count_that_cannot_fit_exits_2(tmp_path, capsys, digits):
+    """A count too large for a float, or too long for int(), is refused as not fitting,
+    with argparse's usage line and one error line, before anything is generated."""
+    with pytest.raises(SystemExit) as exc:
+        run("generate", "--out", tmp_path / "out", "--events", "rockdrop" + "9" * digits)
+    assert exc.value.code == 2
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: ") and error.startswith("drivemon: error: ")
+    assert "do not fit" in error
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_reaches_its_layers_through_their_modules(tmp_path, monkeypatch):
+    """generate draws the dataset and writes both CSVs through synth and telemetry, so
+    wrappers installed on those module attributes see every call."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(telemetry, "write_stream",
+                        counting("write_stream", telemetry.write_stream))
+    monkeypatch.setattr(synth, "make_dataset", counting("make_dataset", synth.make_dataset))
+    assert run("generate", "--out", tmp_path, "--train-s", 8, "--test-s", 8,
+               "--events", "none") == 0
+    assert calls == ["make_dataset", "write_stream", "write_stream"]
 
 
 def test_train_artifacts(data_dir, trained_dir):

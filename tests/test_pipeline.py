@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import drivemon as dm
-from drivemon import derive, detect, errors, features, net, pipeline, telemetry
+from drivemon import derive, detect, errors, features, net, pipeline, synth, telemetry
+from drivemon.cli import main
 from drivemon.synth import NominalProfile, generate_nominal
 
 
@@ -273,3 +274,16 @@ def test_detect_loads_its_model_once_before_it_forks(tmp_path, drives, monkeypat
     dm.detect_pipeline(data, art)
     assert len(four_cpus) == 1
     assert events == ["load_model", "fork"]
+
+
+def test_generate_dataset_writes_what_generate_writes(tmp_path):
+    """The generate stage writes train.csv, test.csv and labels.json byte for byte as the
+    command with the same seed, lengths and event mix."""
+    cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+    assert main(["generate", "--out", str(cli_out), "--seed", "11", "--train-s", "120",
+                 "--test-s", "80", "--events", "mixed3"]) == 0
+    train, labeled = pipeline.generate_dataset(
+        lib_out, synth.plan_events("mixed3", 80.0, 11), 11, 120.0, 80.0)
+    assert (len(train), len(labeled.stream), len(labeled.events)) == (960, 640, 3)
+    for name in (pipeline.TRAIN_FILE, pipeline.TEST_FILE, pipeline.LABELS_FILE):
+        assert (lib_out / name).read_bytes() == (cli_out / name).read_bytes()

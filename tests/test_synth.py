@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,19 @@ def test_plan_events_mix_and_fit():
         plan_events("mixed100", 100.0, seed=1)  # cannot fit
     with pytest.raises(DataError):
         plan_events("earthquake3", 1000.0, seed=1)
+
+
+def test_plan_events_refuses_a_count_before_expanding_it():
+    """More events than the usable seconds can never fit, and are refused before a list
+    of kinds is built, so a million-event mix peaks under 1 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="do not fit"):
+            plan_events("mixed1000000", 100.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_default_durations():
