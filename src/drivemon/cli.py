@@ -110,8 +110,9 @@ def cmd_generate(args, parser: argparse.ArgumentParser) -> None:
     if args.seed < 0:
         parser.error("--seed must be >= 0")
     # each range is written so that NaN fails it
-    if not (4.0 <= args.train_s < math.inf and 4.0 <= args.test_s < math.inf):
-        parser.error("--train-s and --test-s must be finite and at least 4 (one full window)")
+    if not all(4.0 <= s < synth.MAX_DRIVE_S for s in (args.train_s, args.test_s)):
+        parser.error("--train-s and --test-s must be finite, at least 4 (one full window) "
+                     f"and below {synth.MAX_DRIVE_S:.0f} (2^53 frames)")
     if not 0.0 < args.severity < math.inf:
         parser.error("--severity must be finite and > 0")
     # every sol must read back exactly from the CSV, and the test drive is sol + 1

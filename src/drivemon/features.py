@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .derive import DERIVED_CHANNELS, DerivedStream, channel_display, derive_values
 from .errors import (ArtifactError, DataError, PipelineError, list_of, read_fields, read_json,
                      strict_float, strict_str)
-from .parallel import BlockDataError, BlockError, block_bounds, block_empty, named, run_blocks
+from .parallel import BlockError, block_bounds, block_empty, named, run_blocks
 from .telemetry import (CSV_HEADER, SAMPLE_RATE_HZ, TelemetryStream, _Body, _check_frames,
                         is_frame_aligned, read_stream)
 
@@ -80,12 +80,6 @@ class FeatureId:
         return f"{self.stat}({channel_display(self.channel)})"
 
 
-def _all_feature_ids() -> tuple[FeatureId, ...]:
-    return tuple(
-        FeatureId(channel=ch, stat=st) for ch in DERIVED_CHANNELS for st in STATS
-    )
-
-
 @dataclass(frozen=True)
 class FeatureMask:
     """Ordered selection of features defining the prime or refined input space."""
@@ -107,7 +101,7 @@ def feature_mask(variant: str) -> FeatureMask:
 
     Built once per variant and shared: the mask is frozen and its indices read-only.
     """
-    ids = _all_feature_ids()
+    ids = tuple(FeatureId(channel=ch, stat=st) for ch in DERIVED_CHANNELS for st in STATS)
     if variant == PRIME:
         kept = ids
     elif variant == REFINED:
@@ -117,14 +111,6 @@ def feature_mask(variant: str) -> FeatureMask:
     indices = np.array([f.index for f in kept], dtype=np.intp)
     indices.setflags(write=False)
     return FeatureMask(variant=variant, kept=kept, indices=indices)
-
-
-def variant_for_length(n: int) -> str:
-    if n == N_PRIME_FEATURES:
-        return PRIME
-    if n == N_REFINED_FEATURES:
-        return REFINED
-    raise DataError(f"no variant has {n} features")
 
 
 def _windows(values: np.ndarray, spec: WindowSpec) -> np.ndarray:
@@ -309,7 +295,7 @@ def featurize_csv(path: str | Path, spec: WindowSpec, mask: FeatureMask,
     try:
         run_blocks(bounds, [(named("reader of rows"), read),
                             (lambda lo, hi: featurizer(*windows(lo, hi)), featurize)])
-    except BlockDataError:
+    except DataError:
         raise _stream_fault(path) from None
     except BlockError as exc:
         raise OSError(f"failed {('reading', 'featurizing')[exc.phase]} {path}: "
@@ -399,13 +385,11 @@ class MinMaxScaler:
             raise ArtifactError(f"{path}: {exc}") from exc
 
 
-def fit_scaler(X: np.ndarray, variant: str | None = None) -> MinMaxScaler:
-    """Fit per-feature min/max over an (n, d) feature matrix."""
+def fit_scaler(X: np.ndarray, variant: str) -> MinMaxScaler:
+    """Fit per-feature min/max over an (n, d) feature matrix of the given variant."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise DataError("scaler fitting requires at least 2 samples")
     if not np.isfinite(X).all():
         raise DataError("non-finite feature values in fitting set")
-    if variant is None:
-        variant = variant_for_length(X.shape[1])
     return MinMaxScaler(variant, X.min(axis=0), X.max(axis=0))

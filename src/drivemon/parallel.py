@@ -41,10 +41,6 @@ def named(what: str) -> Callable[[int, int], str]:
     return lambda lo, hi: f"{what} {lo}-{hi - 1}"
 
 
-class BlockDataError(DataError):
-    """A process of run_blocks found bad data; the message names its block."""
-
-
 class BlockError(OSError):
     """A process of run_blocks failed in phases[phase] for a reason other than bad data."""
 
@@ -73,10 +69,7 @@ def _process_count(n_frames: int) -> int:
 def shared_empty(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialized float64 array in anonymous shared memory, so rows a forked
     child writes into it are seen by this process; freed when the array is."""
-    size = math.prod(shape) * 8
-    if size == 0:
-        return np.empty(shape)
-    return np.frombuffer(mmap.mmap(-1, size), dtype=np.float64).reshape(shape)
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8), dtype=np.float64).reshape(shape)
 
 
 def block_empty(shape: tuple[int, ...], bounds: list[int]) -> np.ndarray:
@@ -86,14 +79,14 @@ def block_empty(shape: tuple[int, ...], bounds: list[int]) -> np.ndarray:
 
 
 def run_blocks(bounds: list[int], phases: Sequence[Phase]) -> None:
-    """Run every phase, in order, on every block [bounds[i], bounds[i + 1]).
+    """Run every phase, in order, on each of one or more blocks [bounds[i], bounds[i + 1]).
 
     Forks one child per block after the first, runs the first block here, then
     waits for every child in row order. Each process runs work(lo, hi) of each
     phase in turn and stops at the first that raises. The earliest phase that
     failed in any process, bad data before other failures and then the lowest
-    block, raises here: a DataError as a BlockDataError, anything else as a
-    BlockError, each naming the block by its phase's name. A child marks each
+    block, raises here: bad data as a DataError, anything else as a BlockError,
+    each naming the block by its phase's name. A child marks each
     phase in shared memory as it starts it, so one that dies, even by a signal,
     is named by the phase it died in. Other exceptions of this process
     (MemoryError, Ctrl-C) pass through at once. Whatever stops this process
@@ -107,13 +100,12 @@ def run_blocks(bounds: list[int], phases: Sequence[Phase]) -> None:
     try:
         for i, (lo, hi) in enumerate(blocks[1:], 1):
             pids.append(_fork(phases, reached, i, lo, hi))
-        if blocks:
-            try:
-                _run_phases(phases, reached, 0, *blocks[0])
-            except DataError:
-                failures.append((int(reached[0]), 0, 0, "found a bad row"))
-            except OSError as exc:
-                failures.append((int(reached[0]), 1, 0, f"failed: {exc}"))
+        try:
+            _run_phases(phases, reached, 0, *blocks[0])
+        except DataError:
+            failures.append((int(reached[0]), 0, 0, "found a bad row"))
+        except OSError as exc:
+            failures.append((int(reached[0]), 1, 0, f"failed: {exc}"))
         for i, pid in enumerate(pids, 1):
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped += 1
@@ -128,7 +120,7 @@ def run_blocks(bounds: list[int], phases: Sequence[Phase]) -> None:
     if failures:
         phase, other, i, what = min(failures)
         message = f"{phases[phase][0](*blocks[i])} {what}"
-        raise BlockError(message, phase) if other else BlockDataError(message)
+        raise BlockError(message, phase) if other else DataError(message)
 
 
 def _run_phases(phases: Sequence[Phase], reached: np.ndarray, i: int, lo: int,

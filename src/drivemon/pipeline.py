@@ -78,7 +78,7 @@ def _read_pipeline(artifacts: Path, stride_s: float | None = None
 
 def _load_bundle(artifacts: Path, stride_s: float | None):
     """load_bundle's (model, scaler, spec), then pipeline.json as written and its fields
-    as read back, each file read once."""
+    as read back, each file read once; the model's variant must name its width."""
     model = net.load_model(artifacts / MODEL_FILE)
     scaler = features.MinMaxScaler.load(artifacts / SCALER_FILE)
     if model.variant != scaler.variant:
@@ -87,6 +87,12 @@ def _load_bundle(artifacts: Path, stride_s: float | None):
     if model.input_dim != len(scaler):
         raise ArtifactError(f"model expects {model.input_dim} features but scaler has "
                             f"{len(scaler)}")
+    widths = {features.PRIME: features.N_PRIME_FEATURES,
+              features.REFINED: features.N_REFINED_FEATURES}
+    if widths.get(model.variant) != model.input_dim:
+        raise ArtifactError(f"{artifacts / MODEL_FILE}: field 'variant' is {model.variant!r}, "
+                            f"but the model takes {model.input_dim} features; 'prime' has "
+                            f"{widths['prime']} and 'refined' {widths['refined']}")
     pipeline, fields, spec = _read_pipeline(artifacts, stride_s)
     return model, scaler, spec, pipeline, fields
 

@@ -48,6 +48,11 @@ DEFAULT_DURATION_S = {
     "HighSlip": 6.0,
     "IntenseTerrain": 4.0,
 }
+#: Seconds at each end of a test drive that plan_events keeps free of events.
+EVENT_MARGIN_S = 10.0
+#: Every drive is shorter (2^50 s, about 1.13e15 s), so it has fewer than SOL_LIMIT
+#: frames and every frame index is exact as a float64.
+MAX_DRIVE_S = SOL_LIMIT * FRAME_DT_S
 
 
 # Nominal signal magnitudes, the same for every drive.
@@ -78,8 +83,9 @@ class NominalProfile:
 
     def __post_init__(self):
         # written so that NaN fails: every comparison with NaN is false
-        if not 4.0 <= self.duration_s < math.inf:
-            raise DataError("duration must be finite and at least one 4 s window")
+        if not 4.0 <= self.duration_s < MAX_DRIVE_S:
+            raise DataError("duration must be finite, at least one 4 s window and under "
+                            "2^53 frames")
         # np.full would truncate a fractional sol without a word
         if isinstance(self.sol, bool) or not isinstance(self.sol, numbers.Integral):
             raise DataError(f"field 'sol' is {self.sol!r}; it must be an integer")
@@ -118,12 +124,8 @@ class AnomalyEvent:
         object.__setattr__(self, "duration_s", float(resolved))
 
     @property
-    def duration(self) -> float:
-        return self.duration_s
-
-    @property
     def end_t(self) -> float:
-        return self.t0 + self.duration
+        return self.t0 + self.duration_s
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ def _superpose(values: np.ndarray, t: np.ndarray, event: AnomalyEvent, seed) -> 
     elif event.kind == "MTSC":
         values[idx, col(f"current_{event.wheel}")] *= 3.0 + sev
     elif event.kind == "Wheelie":
-        tri = _triangle(tau, event.duration)
+        tri = _triangle(tau, event.duration_s)
         values[idx, col(f"current_{event.wheel}")] *= 1.0 - 0.8 * tri
         values[idx, col(f"bogie_{event.wheel[0]}")] += 0.08 * sev * tri
     elif event.kind == "HighSlip":
@@ -255,7 +257,7 @@ def _superpose(values: np.ndarray, t: np.ndarray, event: AnomalyEvent, seed) -> 
             ripple = 0.04 * sev * np.sin(2.0 * np.pi * 1.5 * tau + k * np.pi / 3.0)
             values[idx, col(f"rate_{w}")] += ripple
     elif event.kind == "IntenseTerrain":
-        tri = _triangle(tau, event.duration)
+        tri = _triangle(tau, event.duration_s)
         values[idx, col(f"current_{event.wheel}")] *= 1.0 + (4.0 * sev - 1.0) * tri
         values[idx, col(f"rate_{event.wheel}")] *= 1.0 - 0.9 * tri
         osc = np.sin(2.0 * np.pi * 1.5 * tau + np.pi / 6.0)
@@ -288,8 +290,7 @@ def make_dataset(
     return train, LabeledStream(stream=test, events=tuple(events))
 
 
-def plan_events(mix: str, test_s: float, seed: int, severity: float = 1.0,
-                margin_s: float = 10.0) -> list[AnomalyEvent]:
+def plan_events(mix: str, test_s: float, seed: int, severity: float = 1.0) -> list[AnomalyEvent]:
     """Expand an event-mix string into non-overlapping scheduled events.
 
     The string is comma-separated `<kind><count>` tokens, e.g.
@@ -298,7 +299,7 @@ def plan_events(mix: str, test_s: float, seed: int, severity: float = 1.0,
     equal slots across the usable span with seeded jitter, and assigned
     wheels round-robin.
     """
-    usable = test_s - 2.0 * margin_s
+    usable = test_s - 2.0 * EVENT_MARGIN_S
     tokens = _parse_event_mix(mix)
     # each event needs a slot of more than 1 s, so more events than whole usable seconds
     # never fit (a NaN or infinite span fits none); a count with more digits than that
@@ -329,7 +330,7 @@ def plan_events(mix: str, test_s: float, seed: int, severity: float = 1.0,
             raise DataError(
                 f"{len(kinds)} events do not fit in {test_s} s (need {dur + 1.0:.1f} s slots)"
             )
-        t0 = margin_s + i * slot + rng.uniform(0.0, slack)
+        t0 = EVENT_MARGIN_S + i * slot + rng.uniform(0.0, slack)
         wheel = None
         if kind in WHEEL_KINDS:
             wheel = WHEELS[wheel_cycle % len(WHEELS)]
@@ -366,7 +367,7 @@ LABEL_FIELDS = {"kind": strict_str, "t0": strict_float, "duration": strict_float
 
 def write_labels(events, path: str | Path) -> None:
     doc = [
-        {"kind": e.kind, "t0": e.t0, "duration": e.duration,
+        {"kind": e.kind, "t0": e.t0, "duration": e.duration_s,
          "wheel": e.wheel, "severity": e.severity}
         for e in events
     ]

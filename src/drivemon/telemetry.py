@@ -92,16 +92,6 @@ class TelemetryStream:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def duration_s(self) -> float:
-        """Total signal coverage: frame count times the 0.125 s frame period."""
-        return len(self.t) * FRAME_DT_S
-
-    @property
-    def span_s(self) -> float:
-        """Elapsed time between first and last frame."""
-        return float(self.t[-1] - self.t[0])
-
     def channel(self, name: str) -> np.ndarray:
         """Full time series of one sensor channel."""
         return self.values[:, channel_index(name)]
@@ -138,8 +128,6 @@ def _check_grid(t: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(t))
     if len(bad):
         raise DataError(f"non-finite timestamp at row {int(bad[0])}")
-    if len(t) < 2:
-        return
     dt = np.diff(t)
     nonmono = np.where(dt <= 0)[0]
     if len(nonmono):
@@ -336,12 +324,12 @@ def _write_rows(fh, stream: TelemetryStream, lo: int, hi: int) -> None:
         fh.write(f"{float(t)!r},{int(sol)},{','.join(map(repr, row.tolist()))}\n")
 
 
-def uniform_time_axis(n_frames: int, t0: float = 0.0) -> np.ndarray:
-    """8 Hz time axis of length n_frames starting at t0 (exact 0.125 s steps)."""
+def uniform_time_axis(n_frames: int) -> np.ndarray:
+    """8 Hz time axis of length n_frames starting at 0 (exact 0.125 s steps)."""
     if n_frames < 1:
         raise DataError("n_frames must be >= 1")
     # k * 0.125 is exact in binary, so the grid carries no accumulation error
-    return t0 + np.arange(n_frames, dtype=np.float64) * FRAME_DT_S
+    return np.arange(n_frames, dtype=np.float64) * FRAME_DT_S
 
 
 def is_frame_aligned(duration_s: float) -> bool:

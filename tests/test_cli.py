@@ -106,9 +106,11 @@ def test_generate_largest_sol(tmp_path):
 @pytest.mark.parametrize("flag,value", [
     ("--train-s", "nan"), ("--train-s", "inf"), ("--test-s", "nan"), ("--test-s", "inf"),
     ("--severity", "nan"), ("--severity", "inf"),
+    ("--train-s", "1e16"), ("--train-s", "1e300"), ("--test-s", "1e300"),
 ])
 def test_generate_non_finite_flag_is_a_usage_error(tmp_path, capsys, flag, value):
-    """A NaN or infinite length or severity exits 2 before anything is generated."""
+    """A NaN or infinite length or severity, or a length of 2^53 frames or more, exits 2
+    before anything is generated."""
     with pytest.raises(SystemExit) as exc:
         run("generate", "--out", tmp_path / "out", flag, value)
     assert exc.value.code == 2
@@ -945,6 +947,38 @@ def test_detect_scaler_variant_mismatch_exits_4_before_any_fork(tmp_path, traine
     err = capsys.readouterr().err
     assert err == "drivemon: artifact error: model variant 'prime' does not match scaler " \
                   "'refined'\n"
+    assert four_cpus == []
+
+
+@pytest.fixture(scope="module")
+def refined_dir(tmp_path_factory, data_dir):
+    art = tmp_path_factory.mktemp("refined")
+    assert run("train", "--data", data_dir / "train.csv", "--artifacts", art,
+               "--variant", "refined", "--seed", 3, "--epochs", 1) == 0
+    assert run("calibrate", "--data", data_dir / "train.csv", "--artifacts", art) == 0
+    return art
+
+
+@pytest.mark.parametrize("command", ["calibrate", "detect"])
+@pytest.mark.parametrize("trained,variant", [("trained_dir", "custom"), ("refined_dir", "prime")],
+                         ids=["unknown", "refined-as-prime"])
+def test_model_variant_that_does_not_fit_its_width_exits_4(tmp_path, request, four_cpus, capsys,
+                                                           command, trained, variant):
+    """A model.json and scaler.json that agree on a variant that is unknown, or that has
+    another width than the model, are refused naming model.json's field before the drive
+    is opened: exit 4, and nothing forks, though the drive has a bad row."""
+    art = tmp_path / "art"
+    shutil.copytree(request.getfixturevalue(trained), art)
+    for name in ("model.json", "scaler.json"):
+        doc = json.loads((art / name).read_text())
+        (art / name).write_text(json.dumps(dict(doc, variant=variant)))
+    path = _drive_with_bad_row(tmp_path, 2 * FORK_MIN_ROWS - 100)
+    four_cpus.clear()
+    assert run(command, "--data", path, "--artifacts", art) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"drivemon: artifact error: {art / 'model.json'}: field 'variant' "
+                          f"is {variant!r}, but the model takes ")
+    assert err.count("\n") == 1
     assert four_cpus == []
 
 

@@ -302,8 +302,8 @@ def test_plan_events_refuses_a_count_before_expanding_it():
 
 def test_default_durations():
     assert DEFAULT_DURATION_S["MTSC"] == 1.5
-    assert AnomalyEvent(kind="MTSC", t0=0.0, wheel="LF").duration == 1.5
-    assert AnomalyEvent(kind="MTSC", t0=0.0, wheel="LF", duration_s=2.0).duration == 2.0
+    assert AnomalyEvent(kind="MTSC", t0=0.0, wheel="LF").duration_s == 1.5
+    assert AnomalyEvent(kind="MTSC", t0=0.0, wheel="LF", duration_s=2.0).duration_s == 2.0
 
 
 def test_labels_roundtrip(tmp_path):
@@ -321,6 +321,15 @@ def test_profile_validation():
     for duration in (float("nan"), float("inf")):
         with pytest.raises(DataError, match="duration"):
             NominalProfile(duration_s=duration)
+
+
+def test_profile_refuses_2_to_the_53_frames():
+    """A drive of 2^53 frames or more, whose frame indices a float64 cannot all hold, is
+    refused before any array is allocated; one frame fewer passes the check."""
+    for duration in (2.0**50, 1e16, 1e300):
+        with pytest.raises(DataError, match="under 2\\^53 frames"):
+            NominalProfile(duration_s=duration)
+    assert NominalProfile(duration_s=2.0**50 - 0.125).duration_s == 2.0**50 - 0.125
 
 
 @pytest.mark.parametrize("sol", [1000.7, True, "1000", 2**63, -2**63 - 1, 2**53, -2**53],
