@@ -422,8 +422,12 @@ def train(
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     # batches are gathered from X itself, so no copy of the training rows is held
     n_train, d = len(train_idx), X.shape[1]
-    # validation holds these two buffers alone, from one epoch to the next
-    val_buffers = np.empty(n_val * max(model.dims)), np.empty(n_val * max(model.dims))
+    # train holds these two buffers alone, from one epoch to the next: each step's
+    # activations lie in the first and its residual in the second, and validation, which
+    # runs only between epochs, writes its layers into both by turns
+    widths = model.dims[1:]
+    size = max(n_val * max(model.dims), min(config.batch_size, n_train) * sum(widths))
+    buffers = np.empty(size), np.empty(size)
 
     def val_rows(buffer: np.ndarray) -> np.ndarray:
         # a raising take would gather into a temporary first; the indices are in range
@@ -432,8 +436,6 @@ def train(
 
     grads = np.empty_like(model.params)
     state = AdamState.for_params([model.params])
-    # activation and residual buffers, one set per training batch size
-    buffers: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
 
     report = TrainReport()
     step = 0
@@ -442,14 +444,16 @@ def train(
         sse = 0.0
         for b0 in range(0, n_train, config.batch_size):
             batch = X[rows[b0:b0 + config.batch_size]]
-            acts, residual = buffers.get(len(batch), (None, None))
+            n_batch = len(batch)
+            acts, offset = [batch], 0
+            for width in widths:
+                acts.append(buffers[0][offset:offset + n_batch * width].reshape(n_batch, width))
+                offset += n_batch * width
+            residual = buffers[1][:n_batch * widths[-1]].reshape(n_batch, widths[-1])
             # divergence shows up as inf/nan loss and aborts below, so the
             # overflow itself is not worth a warning
             with np.errstate(over="ignore", invalid="ignore"):
                 out, acts = forward(model, batch, acts)
-            if residual is None:
-                residual = np.empty_like(out)
-            buffers[len(batch)] = acts, residual
             loss = mse_loss(out, batch, residual)
             if not np.isfinite(loss):
                 raise TrainingError(
@@ -468,8 +472,8 @@ def train(
         # cache of every layer's activations: the rows go into one buffer, the output
         # lands in buffers[n_layers % 2], and the rows go again into the other one
         with np.errstate(over="ignore", invalid="ignore"):
-            err = _run_layers(model, val_rows(val_buffers[0]), val_buffers[::-1])
-            err -= val_rows(val_buffers[1 - model.n_layers % 2])
+            err = _run_layers(model, val_rows(buffers[0]), buffers[::-1])
+            err -= val_rows(buffers[1 - model.n_layers % 2])
             err *= err
         val_loss = float(np.mean(err))
         if not np.isfinite(val_loss):

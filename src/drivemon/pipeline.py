@@ -175,8 +175,8 @@ def fit_pipeline(data, artifacts, variant: str, config: net.TrainConfig,
     data_sha256 = _file_sha256(data)
     X, start_t, sol = _featurize(data, spec, variant)
     scaler = features.fit_scaler(X, variant=variant)
-    # rebinding X frees the raw features before training starts
-    X = scaler.transform(X)
+    # scaled in place, so raw and scaled features are never held together
+    scaler.transform(X, out=X)
     model = net.build_model(variant, seed=config.rng_seed)
     model, report = net.train(model, X, config)
     # the rows, order and row count calibrate would score, so the same bits

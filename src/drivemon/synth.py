@@ -297,7 +297,8 @@ def plan_events(mix: str, test_s: float, seed: int, severity: float = 1.0) -> li
     "rockdrop10,mtsc10,wheelie10,highslip5,intenseterrain5", or "mixedN" to
     cycle through all five kinds, or "none". Events are shuffled, placed in
     equal slots across the usable span with seeded jitter, and assigned
-    wheels round-robin.
+    wheels round-robin. A mix with events for a test drive whose values cannot
+    be allocated raises MemoryError before any event is listed.
     """
     usable = test_s - 2.0 * EVENT_MARGIN_S
     tokens = _parse_event_mix(mix)
@@ -310,6 +311,8 @@ def plan_events(mix: str, test_s: float, seed: int, severity: float = 1.0) -> li
     if sum(counts) > room:
         raise DataError(f"more than {room} events do not fit in {test_s} s "
                         "(each needs a slot of more than 1 s)")
+    if any(counts):
+        _check_drive_fits(test_s)
     kinds: list[str] = []
     for (name, _), count in zip(tokens, counts):
         if name == "mixed":
@@ -337,6 +340,20 @@ def plan_events(mix: str, test_s: float, seed: int, severity: float = 1.0) -> li
             wheel_cycle += 1
         events.append(AnomalyEvent(kind=kind, t0=float(t0), wheel=wheel, severity=severity))
     return events
+
+
+def _check_drive_fits(test_s: float) -> None:
+    """Refuse a test drive whose values could never be allocated, before its events are
+    listed: an event takes far less memory than its slot of more than 1 s of the drive,
+    so the list of a drive that can be held is smaller still."""
+    if not test_s < MAX_DRIVE_S:
+        raise DataError(f"a {test_s} s test drive has 2^53 frames or more")
+    n = round(test_s * SAMPLE_RATE_HZ)
+    try:
+        np.empty((n, len(SENSOR_CHANNELS)))
+    except MemoryError:
+        raise MemoryError(f"a {test_s} s test drive ({n} frames of {len(SENSOR_CHANNELS)} "
+                          "channels) cannot be allocated") from None
 
 
 def _parse_event_mix(mix: str) -> list[tuple[str, str]]:

@@ -3,6 +3,9 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -554,6 +557,32 @@ def test_allocation_failure_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("drivemon: error: out of memory: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "g").exists()
+
+
+def test_generate_refuses_a_test_drive_it_cannot_hold_before_planning(tmp_path):
+    """A test drive that cannot be allocated exits 3 with one line naming it, before its
+    10^9 events are listed. The case runs only in a child limited to 2 GiB of address
+    space, where listing the events first reached that limit; never run it without."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from drivemon.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "stderr", "w") as err:
+        child = subprocess.Popen([sys.executable, "-c", code, "generate", "--out",
+                                  str(tmp_path / "g"), "--test-s", "1e12", "--events",
+                                  "rockdrop1000000000"],
+                                 env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    lines = (tmp_path / "stderr").read_text().splitlines()
+    assert child.returncode == 3, lines
+    assert lines == ["drivemon: error: out of memory: a 1000000000000.0 s test drive "
+                     "(8000000000000 frames of 28 channels) cannot be allocated"]
+    assert usage.ru_maxrss < 256 * 1024, f"child peaked at {usage.ru_maxrss} KiB"
     assert not (tmp_path / "g").exists()
 
 

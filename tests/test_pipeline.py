@@ -23,8 +23,8 @@ def _drop_calibration_record(art) -> None:
 
 
 def test_calibrate_never_holds_raw_and_scaled_features_together(tmp_path):
-    """Scaling rebinds the feature matrix, so an 1 800 s drive's calibration peaks under
-    4.2x that matrix; raw and scaled features alive together would pass 4.7x."""
+    """Scaling writes over the feature matrix in place, so an 1 800 s drive's calibration
+    peaks under 4.2x that matrix; raw and scaled features alive together would pass 4.7x."""
     data = tmp_path / "train.csv"
     dm.write_stream(generate_nominal(NominalProfile(duration_s=1800.0), 5), data)
     art = tmp_path / "art"
@@ -39,6 +39,29 @@ def test_calibrate_never_holds_raw_and_scaled_features_together(tmp_path):
         tracemalloc.stop()
     assert threshold.calibration_size == X.shape[0] == 1797
     assert peak < 4.2 * X.nbytes, f"peak {peak / 1e6:.1f} MB for a {X.nbytes / 1e6:.1f} MB matrix"
+
+
+def test_fit_never_holds_raw_and_scaled_features_together(tmp_path, monkeypatch):
+    """fit scales X in place: an 1 800 s drive at a one-frame stride, in one process so
+    that X lies on the traced heap and with training stubbed out, peaks under 1.75x its
+    37 MB X (1.41x measured, the scoring buffers beside X). Scaling into a second
+    X-sized array kept it at 2.01x."""
+    data = tmp_path / "drive.csv"
+    dm.write_stream(generate_nominal(NominalProfile(duration_s=1800.0), 6), data)
+    monkeypatch.setattr(net, "train", lambda model, X, config: (model, net.TrainReport(
+        train_losses=[0.0], val_losses=[0.0])))
+    monkeypatch.delattr(os, "fork")
+    tracemalloc.start()
+    try:
+        _, windows = dm.fit_pipeline(data, tmp_path / "art", "prime",
+                                     dm.TrainConfig(rng_seed=1, epochs=1),
+                                     dm.WindowSpec(stride_s=0.125))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    x_nbytes = windows * features.N_PRIME_FEATURES * 8
+    assert windows == 14369 > 2 * detect.SCORE_BLOCK_ROWS
+    assert peak < 1.75 * x_nbytes, f"peak {peak / 1e6:.1f} MB for a {x_nbytes / 1e6:.1f} MB X"
 
 
 def test_featurize_never_holds_the_derived_stream(tmp_path, four_cpus):

@@ -300,6 +300,14 @@ def test_plan_events_refuses_a_count_before_expanding_it():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("mix", ["rockdrop1", "rockdrop99999999999999999999"])
+def test_plan_events_refuses_a_test_drive_of_2_to_the_53_frames(mix):
+    """A mix whose count fits a test drive of 2^53 frames or more is refused before its
+    events are listed, as such a drive can never be drawn."""
+    with pytest.raises(DataError, match="2\\^53 frames"):
+        plan_events(mix, 1e300, 1)
+
+
 def test_default_durations():
     assert DEFAULT_DURATION_S["MTSC"] == 1.5
     assert AnomalyEvent(kind="MTSC", t0=0.0, wheel="LF").duration_s == 1.5
