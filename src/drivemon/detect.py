@@ -241,15 +241,27 @@ def read_report_json(path: str | Path) -> list[FlagRecord]:
 
 SCORES_HEADER = ("sol", "start_t", "score")
 
+#: Rows formatted at a time by write_scores_csv.
+SCORES_CHUNK_ROWS = 4096
+
 
 def write_scores_csv(path: str | Path, scores: np.ndarray, start_t, sol) -> None:
-    """Per-window score series, for score-vs-time plots with external tools."""
-    # Python ints and floats from tolist format faster than numpy scalars
-    columns = (np.asarray(sol).tolist(), np.asarray(start_t, dtype=np.float64).tolist(),
-               np.asarray(scores, dtype=np.float64).tolist())
+    """Per-window score series, for score-vs-time plots with external tools.
+
+    Rows are formatted SCORES_CHUNK_ROWS at a time, so the Python ints and floats
+    that format faster than numpy scalars are held for one chunk, not the drive.
+    """
+    columns = (np.asarray(sol), np.asarray(start_t, dtype=np.float64),
+               np.asarray(scores, dtype=np.float64))
+    n = len(columns[2])
+    if any(len(column) != n for column in columns):
+        raise DataError(f"{len(sol)} sols, {len(start_t)} start times and {n} scores "
+                        "are misaligned")
     with open(Path(path), "w", newline="") as fh:
         fh.write(",".join(SCORES_HEADER) + "\n")
-        fh.writelines(f"{int(s)},{t!r},{a!r}\n" for s, t, a in zip(*columns, strict=True))
+        for lo in range(0, n, SCORES_CHUNK_ROWS):
+            chunk = (column[lo:lo + SCORES_CHUNK_ROWS].tolist() for column in columns)
+            fh.writelines(f"{int(s)},{t!r},{a!r}\n" for s, t, a in zip(*chunk))
 
 
 def read_scores_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -390,6 +390,9 @@ def fit_scaler(X: np.ndarray, variant: str) -> MinMaxScaler:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise DataError("scaler fitting requires at least 2 samples")
-    if not np.isfinite(X).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a finite sum needs every element finite, and costs no X-sized array
+        finite = np.isfinite(X.sum()) or np.isfinite(X).all()
+    if not finite:
         raise DataError("non-finite feature values in fitting set")
     return MinMaxScaler(variant, X.min(axis=0), X.max(axis=0))

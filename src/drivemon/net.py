@@ -336,8 +336,12 @@ def adam_step(
             np.multiply(gb, gb, out=s1)
             s1 *= 1.0 - beta2
             vb += s1
-            np.divide(mb, bc1, out=s1)
-            s1 *= lr
+            if bc1 == 1.0:
+                # m / 1.0 is m bit for bit: from t = 356 on at beta1 = 0.9
+                np.multiply(mb, lr, out=s1)
+            else:
+                np.divide(mb, bc1, out=s1)
+                s1 *= lr
             np.divide(vb, bc2, out=s2)
             np.sqrt(s2, out=s2)
             s2 += eps
@@ -411,7 +415,10 @@ def train(
         raise DataError(f"X must be (n, {model.input_dim}); got {X.shape}")
     if X.shape[0] < 10:
         raise DataError(f"training requires at least 10 rows; got {X.shape[0]}")
-    if not np.isfinite(X).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a finite sum needs every element finite, and costs no X-sized array
+        finite = np.isfinite(X.sum()) or np.isfinite(X).all()
+    if not finite:
         raise DataError("training data contains non-finite values")
 
     started = time.perf_counter()
@@ -420,22 +427,27 @@ def train(
     perm = rng.permutation(n)
     n_val = min(max(1, round(n * config.validation_fraction)), n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    # batches are gathered from X itself, so no copy of the training rows is held
     n_train, d = len(train_idx), X.shape[1]
-    # train holds these two buffers alone, from one epoch to the next: each step's
-    # activations lie in the first and its residual in the second, and validation, which
-    # runs only between epochs, writes its layers into both by turns
+    # train holds these two buffers alone, from one epoch to the next. Each step writes
+    # only views of them: its activations and then its batch, gathered from X itself, in
+    # the first; its residual, the gradient and ADAM's scratch in the second. Validation,
+    # which runs only between epochs, writes its layers into both by turns.
     widths = model.dims[1:]
-    size = max(n_val * max(model.dims), min(config.batch_size, n_train) * sum(widths))
+    n_rows = min(config.batch_size, n_train)
+    n_params, n_scratch = model.params.size, min(model.params.size, ADAM_BLOCK_SIZE)
+    size = max(n_val * max(model.dims), n_rows * (sum(widths) + d),
+               n_rows * widths[-1] + n_params + 2 * n_scratch)
     buffers = np.empty(size), np.empty(size)
+    step_room = buffers[1][n_rows * widths[-1]:]
+    grads = step_room[:n_params]
+    scratch = step_room[n_params:n_params + 2 * n_scratch].reshape(2, n_scratch)
+    state = AdamState(m=[np.zeros_like(model.params)], v=[np.zeros_like(model.params)],
+                      scratch=tuple(scratch))
 
-    def val_rows(buffer: np.ndarray) -> np.ndarray:
+    def gather(idx: np.ndarray, out: np.ndarray) -> np.ndarray:
         # a raising take would gather into a temporary first; the indices are in range
-        return np.take(X, val_idx, axis=0, out=buffer[:n_val * d].reshape(n_val, d),
+        return np.take(X, idx, axis=0, out=out[:len(idx) * d].reshape(len(idx), d),
                        mode="clip")
-
-    grads = np.empty_like(model.params)
-    state = AdamState.for_params([model.params])
 
     report = TrainReport()
     step = 0
@@ -443,8 +455,9 @@ def train(
         rows = train_idx[rng.permutation(n_train)]
         sse = 0.0
         for b0 in range(0, n_train, config.batch_size):
-            batch = X[rows[b0:b0 + config.batch_size]]
-            n_batch = len(batch)
+            batch_idx = rows[b0:b0 + config.batch_size]
+            n_batch = len(batch_idx)
+            batch = gather(batch_idx, buffers[0][n_batch * sum(widths):])
             acts, offset = [batch], 0
             for width in widths:
                 acts.append(buffers[0][offset:offset + n_batch * width].reshape(n_batch, width))
@@ -472,8 +485,8 @@ def train(
         # cache of every layer's activations: the rows go into one buffer, the output
         # lands in buffers[n_layers % 2], and the rows go again into the other one
         with np.errstate(over="ignore", invalid="ignore"):
-            err = _run_layers(model, val_rows(buffers[0]), buffers[::-1])
-            err -= val_rows(buffers[1 - model.n_layers % 2])
+            err = _run_layers(model, gather(val_idx, buffers[0]), buffers[::-1])
+            err -= gather(val_idx, buffers[1 - model.n_layers % 2])
             err *= err
         val_loss = float(np.mean(err))
         if not np.isfinite(val_loss):

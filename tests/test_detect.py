@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from drivemon.detect import (
     SCORE_BLOCK_ROWS,
+    SCORES_CHUNK_ROWS,
     FlagRecord,
     Threshold,
     calibrate,
@@ -461,3 +462,22 @@ def test_scores_csv_is_the_row_loop(tmp_path, n):
     rows = "".join(f"{int(sol[i])},{repr(float(start_t[i]))},{repr(float(scores[i]))}\n"
                    for i in range(n))
     assert path.read_text() == "sol,start_t,score\n" + rows
+
+
+@pytest.mark.parametrize("n", [1, SCORES_CHUNK_ROWS - 1, SCORES_CHUNK_ROWS,
+                               SCORES_CHUNK_ROWS + 1])
+def test_scores_csv_chunks_give_the_whole_list_bytes(tmp_path, n):
+    """Rows formatted a chunk at a time are the bytes of one pass over whole-drive lists."""
+    rng = np.random.default_rng(n)
+    scores, start_t = rng.random(n) * 10.0 ** rng.integers(-300, 300, n), rng.random(n)
+    sol = rng.integers(-2**53 + 1, 2**53, n)
+    path = tmp_path / "scores.csv"
+    write_scores_csv(path, scores, start_t, sol)
+    rows = "".join(f"{s},{t!r},{a!r}\n"
+                   for s, t, a in zip(sol.tolist(), start_t.tolist(), scores.tolist()))
+    assert path.read_text() == "sol,start_t,score\n" + rows
+
+
+def test_scores_csv_refuses_misaligned_columns(tmp_path):
+    with pytest.raises(DataError, match="misaligned"):
+        write_scores_csv(tmp_path / "scores.csv", np.zeros(3), np.zeros(3), np.zeros(2))

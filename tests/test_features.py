@@ -321,6 +321,29 @@ def test_fit_scaler_guards():
         fit_scaler(np.array([[1.0, np.nan], [2.0, 3.0]]), variant="custom")
 
 
+def test_fit_scaler_checks_finiteness_without_an_x_sized_mask():
+    """The check reads X's sum first: fitting 4 000 x 322 finite rows traces less than a
+    bool mask of X. Two 1e308 cells are finite, though the sum overflows, and are fitted;
+    a NaN or an infinity anywhere is refused as before."""
+    X = np.random.default_rng(0).random((4000, 322))
+    tracemalloc.start()
+    try:
+        fit_scaler(X, variant="prime")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.size, f"peak {peak} B for a {X.size}-element X"
+    X[3, 1] = X[17, 2] = 1e308
+    scaler = fit_scaler(X, variant="prime")
+    assert scaler.max_[1] == scaler.max_[2] == 1e308
+    for bad in (np.nan, np.inf, -np.inf):
+        for cell in ((0, 0), (3999, 321)):
+            Y = X.copy()
+            Y[cell] = bad
+            with pytest.raises(DataError, match="^non-finite feature values in fitting set$"):
+                fit_scaler(Y, variant="prime")
+
+
 def test_transform_examples():
     scaler = MinMaxScaler("custom", np.array([2.0, 5.0]), np.array([4.0, 5.0]))
     out = scaler.transform(np.array([3.0, 7.0]))
